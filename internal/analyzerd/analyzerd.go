@@ -65,20 +65,20 @@ type Message struct {
 	// Map is the remap/resize verb payload: the shard map to install.
 	Map *wire.ShardMap `json:"map,omitempty"`
 	// Handoff is the adopt verb payload: moved-client state to absorb.
-	Handoff *wire.Handoff `json:"handoff,omitempty"`
+	Handoff *wire.Snapshot `json:"handoff,omitempty"`
 }
 
-// Protocol message types. The ingest payloads (step/report/cf) mirror
-// wire.MsgStep/MsgReport/MsgCF; "dump" is a connection-level query — a
-// fleet aggregator asks a shard for its full accepted-message state and
-// gets one wire.ShardState JSON line back (never WAL'd, never acked).
-// The rebalance verbs are admin-plane: "remap" installs a newer-epoch
-// shard map at a shard, "adopt" hands a shard moved-client state, and
-// "resize" asks a fleet *router* to rebalance to Map.Shards shards.
+// Protocol message types. The ingest payloads (step/report/cf) are the
+// wire.Msg* tags; "dump" is a connection-level query — a fleet
+// aggregator asks a daemon for its full accepted-message state and gets
+// one wire.Snapshot JSON line back (never WAL'd, never acked). The
+// rebalance verbs are admin-plane: "remap" installs a newer-epoch shard
+// map at a shard, "adopt" hands a shard moved-client state, and "resize"
+// asks a fleet *router* to rebalance to Map.Shards shards.
 const (
-	TypeStep   = "step"
-	TypeReport = "report"
-	TypeCF     = "cf"
+	TypeStep   = wire.MsgStep
+	TypeReport = wire.MsgReport
+	TypeCF     = wire.MsgCF
 	TypeDump   = "dump"
 	TypeRemap  = "remap"
 	TypeAdopt  = "adopt"
@@ -220,10 +220,10 @@ type ServerConfig struct {
 	Durability *DurabilityConfig
 	// Shard, when non-nil, runs this server as one shard of a diagnosis
 	// fleet: it only accepts named clients the shard map assigns to it
-	// (others get a moved NACK carrying the owning shard), retains every
-	// accepted message with its (client, seq) provenance for the "dump"
-	// verb, and persists shard snapshots in message form so recovery can
-	// re-filter ownership against the current map.
+	// (others get a moved NACK carrying the owning shard) and answers the
+	// remap/adopt rebalance verbs. Nil makes it shard 0 of an implicit
+	// 1-shard map, which owns every client; state, snapshots, recovery and
+	// the "dump" verb are the same either way.
 	Shard *ShardConfig
 	// Now injects the clock used for rate limiting, ack-window TTLs, and
 	// WAL fsync pacing. Nil uses the wall clock. (These are real-daemon
@@ -276,8 +276,8 @@ type ServerStats struct {
 	// not make them durable.
 	WALErrors int64
 	// Moved messages named a client the shard map assigns to another
-	// shard; they were NACKed with the owning shard index (shard mode
-	// only).
+	// shard; they were NACKed with the owning shard index (never on a
+	// standalone daemon, whose 1-shard map owns every client).
 	Moved int64
 	// Remaps counts shard maps installed live via the remap verb.
 	Remaps int64
@@ -296,8 +296,7 @@ type clientState struct {
 	acked    int64
 	conns    int
 	lastSeen time.Time
-	tokens   float64
-	refilled time.Time
+	bucket   TokenBucket
 	// retryLow is the lowest seq the server load-shed with a retryable
 	// NACK under this state. While the state has no live highwater
 	// (acked == 0) the applier refuses to baseline past it — the shed
@@ -322,13 +321,22 @@ type Server struct {
 	cfg ServerConfig
 	log *slog.Logger
 	now func() time.Time
+	// index is this daemon's shard slot (0 when standalone); immutable.
+	index int
 
-	mu      sync.Mutex
-	records []collective.StepRecord // guarded by mu
-	reports []*telemetry.Report     // guarded by mu
-	cfs     map[fabric.FlowKey]bool // guarded by mu
-	// stepIndex maps a collective flow to its (host, step), learned from
-	// the step records themselves.
+	mu sync.Mutex
+	// sourced is the daemon's state: every accepted message with its
+	// (client, seq) provenance, in ingest order. It is what snapshots
+	// persist, dump answers, and rebalances hand off.
+	sourced []wire.SourcedMessage // guarded by mu
+	// records, reports, cfs and stepIndex are the diagnosis index, an
+	// in-memory cache of sourced that ingest keeps current. It is never
+	// persisted; recovery, remap and adopt rebuild it by replaying the
+	// log. stepIndex maps a collective flow to its (host, step), learned
+	// from the step records themselves.
+	records   []collective.StepRecord              // guarded by mu
+	reports   []*telemetry.Report                  // guarded by mu
+	cfs       map[fabric.FlowKey]bool              // guarded by mu
 	stepIndex map[fabric.FlowKey]waitgraph.StepRef // guarded by mu
 	// clients holds the per-client ack windows, token buckets, and idle
 	// state; entries for disconnected clients are evicted after AckTTL.
@@ -339,12 +347,11 @@ type Server struct {
 	closed   bool                    // guarded by mu
 	stopped  bool                    // guarded by mu
 
-	// ring is the consistent-hash ownership function in shard mode (nil
-	// otherwise) and shardMap the map it was built from; both are
-	// guarded by shardMu because a live rebalance swaps them via the
-	// remap verb while connection handlers consult ownership. Lock
-	// order: mu before shardMu (never the reverse). Whether the server
-	// is in shard mode at all is immutable — check cfg.Shard, not ring.
+	// ring is the consistent-hash ownership function and shardMap the
+	// map it was built from; both are guarded by shardMu because a live
+	// rebalance swaps them via the remap verb while connection handlers
+	// consult ownership. Lock order: mu before shardMu (never the
+	// reverse).
 	shardMu  sync.RWMutex
 	ring     *wire.HashRing
 	shardMap wire.ShardMap
@@ -352,9 +359,6 @@ type Server struct {
 	// fully absorbed, making a re-delivered adopt idempotent when the
 	// reply (not the work) was lost. Guarded by mu.
 	adoptedEpochs map[int]int64
-	// sourced retains every accepted message with its (client, seq)
-	// provenance, in ingest order, for dumps and shard snapshots.
-	sourced []wire.SourcedMessage // guarded by mu
 
 	// wal and sinceSnap are owned by the applier goroutine (and by
 	// stop(), which runs strictly after the applier exits).
@@ -390,16 +394,28 @@ func ServeWith(addr string, cfg ServerConfig) (*Server, error) {
 	if cfg.AckTTL == 0 {
 		cfg.AckTTL = 15 * time.Minute
 	}
+	shard := cfg.Shard
+	if shard == nil {
+		shard = &ShardConfig{Map: wire.ShardMap{Shards: 1}}
+	}
+	ring, err := shard.ring()
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
-		cfg:         cfg,
-		log:         cfg.Log,
-		now:         cfg.Now,
-		cfs:         make(map[fabric.FlowKey]bool),
-		stepIndex:   make(map[fabric.FlowKey]waitgraph.StepRef),
-		clients:     make(map[string]*clientState),
-		conns:       make(map[net.Conn]struct{}),
-		queue:       make(chan ingestItem, cfg.MaxQueue),
-		applierDone: make(chan struct{}),
+		cfg:           cfg,
+		log:           cfg.Log,
+		now:           cfg.Now,
+		cfs:           make(map[fabric.FlowKey]bool),
+		stepIndex:     make(map[fabric.FlowKey]waitgraph.StepRef),
+		index:         shard.Index,
+		ring:          ring,
+		shardMap:      shard.Map,
+		adoptedEpochs: make(map[int]int64),
+		clients:       make(map[string]*clientState),
+		conns:         make(map[net.Conn]struct{}),
+		queue:         make(chan ingestItem, cfg.MaxQueue),
+		applierDone:   make(chan struct{}),
 	}
 	if s.log == nil {
 		s.log = obs.NopLogger()
@@ -407,15 +423,6 @@ func ServeWith(addr string, cfg ServerConfig) (*Server, error) {
 	if s.now == nil {
 		//lint:ignore nosystime rate limiting, ack TTLs and fsync pacing on a real TCP daemon; wall clock never reaches simulation state
 		s.now = time.Now
-	}
-	if cfg.Shard != nil {
-		ring, err := cfg.Shard.ring()
-		if err != nil {
-			return nil, err
-		}
-		s.ring = ring
-		s.shardMap = cfg.Shard.Map
-		s.adoptedEpochs = make(map[int]int64)
 	}
 	if cfg.Durability != nil {
 		if err := s.openDurability(*cfg.Durability); err != nil {
@@ -463,8 +470,10 @@ func (s *Server) openDurability(dur DurabilityConfig) error {
 	return nil
 }
 
-// applyRecovered loads a recovered snapshot + WAL tail into memory, in
-// the exact ingest order the original run used, without re-logging. It
+// applyRecovered replays a recovered snapshot + WAL tail through ingest,
+// in the exact order the original run used, without re-logging. Clients
+// the current shard map assigns elsewhere are dropped: a map change
+// between incarnations must not replay records into the wrong shard. It
 // runs before the listener opens, but takes s.mu anyway: the lock is
 // uncontended and keeps the guarded-state discipline uniform.
 func (s *Server) applyRecovered(rec *RecoveredState) {
@@ -472,31 +481,14 @@ func (s *Server) applyRecovered(rec *RecoveredState) {
 	defer s.mu.Unlock()
 	now := s.now()
 	for _, sm := range rec.Snapshot.Messages {
-		// Shard-mode snapshot: rebuild state by re-ingesting the sourced
-		// stream, dropping clients the current shard map assigns
-		// elsewhere — a map change between incarnations must not replay
-		// records into the wrong shard.
 		if _, moved := s.disownedBy(sm.Client); moved {
 			rec.Stats.Reassigned++
 			continue
 		}
-		msg := messageFromSourced(sm)
-		if err := s.ingest(msg); err != nil {
+		if err := s.ingest(sm); err != nil {
 			s.log.Warn("recovery: skipping unreplayable snapshot message",
-				"client", msg.Client, "seq", msg.Seq, "err", err.Error())
-			continue
+				"client", sm.Client, "seq", sm.Seq, "err", err.Error())
 		}
-	}
-	for _, r := range rec.Snapshot.Records {
-		recInt := r.Record()
-		s.records = append(s.records, recInt)
-		s.stepIndex[recInt.Flow] = waitgraph.StepRef{Host: recInt.Host, Step: recInt.Step}
-	}
-	for _, r := range rec.Snapshot.Reports {
-		s.reports = append(s.reports, r.Telemetry())
-	}
-	for _, f := range rec.Snapshot.CFs {
-		s.cfs[f.Key()] = true
 	}
 	for _, a := range rec.Snapshot.Acked {
 		if _, moved := s.disownedBy(a.Client); moved {
@@ -506,25 +498,25 @@ func (s *Server) applyRecovered(rec *RecoveredState) {
 		st.acked = a.Seq
 		s.clients[a.Client] = st
 	}
-	for _, msg := range rec.Messages {
-		if _, moved := s.disownedBy(msg.Client); moved {
+	for _, sm := range rec.Messages {
+		if _, moved := s.disownedBy(sm.Client); moved {
 			rec.Stats.Reassigned++
 			continue
 		}
-		if msg.Seq > 0 && msg.Seq <= s.clientAcked(msg.Client) {
+		if sm.Seq > 0 && sm.Seq <= s.clientAcked(sm.Client) {
 			continue // resubmission that was logged twice across a crash
 		}
-		if err := s.ingest(msg); err != nil {
+		if err := s.ingest(sm); err != nil {
 			// Every logged record passed ParseMessage before it was
 			// appended, so an unreplayable one means the WAL was written
 			// by a different (or corrupt) writer: surface it and skip,
 			// leaving the ack window alone so the client resubmits.
 			s.log.Warn("recovery: skipping unreplayable WAL record",
-				"client", msg.Client, "seq", msg.Seq, "err", err.Error())
+				"client", sm.Client, "seq", sm.Seq, "err", err.Error())
 			continue
 		}
-		if msg.Seq > 0 {
-			s.markAcked(msg.Client, msg.Seq)
+		if sm.Seq > 0 {
+			s.markAcked(sm.Client, sm.Seq)
 		}
 	}
 }
@@ -940,7 +932,7 @@ func (s *Server) apply(item ingestItem) {
 			return
 		}
 	}
-	if err := s.ingestLocked(msg); err != nil {
+	if err := s.ingestLocked(sourcedFromMessage(msg)); err != nil {
 		s.count(func(st *ServerStats) { st.Rejected++ })
 		s.log.Warn("message rejected", "err", err.Error())
 		if msg.Seq > 0 {
@@ -983,11 +975,11 @@ func (s *Server) maybeSnapshot() {
 	s.sinceSnap = 0
 }
 
-// snapshotNow captures the full in-memory state as wire DTOs, writes it
-// atomically, and truncates the now-redundant WAL. Applier-only (or
-// post-applier, from stop).
+// snapshotNow writes the log and ack windows atomically and truncates
+// the now-redundant WAL. Applier-only (or post-applier, from stop).
 func (s *Server) snapshotNow() error {
-	snap := s.buildSnapshot()
+	snap := s.State()
+	snap.NextLSN = s.wal.nextLSN
 	if err := writeSnapshot(s.cfg.Durability.Dir, snap); err != nil {
 		return err
 	}
@@ -995,43 +987,8 @@ func (s *Server) snapshotNow() error {
 	if err := s.wal.Reset(); err != nil {
 		return err
 	}
-	s.log.Info("snapshot written", "records", len(snap.Records),
-		"reports", len(snap.Reports), "cfs", len(snap.CFs), "next_lsn", snap.NextLSN)
+	s.log.Info("snapshot written", "messages", len(snap.Messages), "next_lsn", snap.NextLSN)
 	return nil
-}
-
-// buildSnapshot serializes the ingest state deterministically: records
-// and reports in ingest order (the order that defines the flow→step
-// index), flow and ack sets sorted.
-func (s *Server) buildSnapshot() wire.Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	snap := wire.Snapshot{Format: wire.SnapshotFormat, NextLSN: s.wal.nextLSN}
-	if s.cfg.Shard != nil {
-		// Shard mode persists the sourced message stream instead of the
-		// derived record/report/cf state: recovery re-ingests the
-		// messages, which re-derives the state *and* re-checks ownership
-		// against the shard map of the restarted incarnation.
-		snap.Messages = append(snap.Messages, s.sourced...)
-		snap.Acked = s.ackedLocked()
-		return snap
-	}
-	for _, r := range s.records {
-		snap.Records = append(snap.Records, wire.FromStepRecord(r))
-	}
-	for _, r := range s.reports {
-		snap.Reports = append(snap.Reports, wire.FromReport(r))
-	}
-	keys := make([]fabric.FlowKey, 0, len(s.cfs))
-	for k := range s.cfs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return flowKeyLess(keys[i], keys[j]) })
-	for _, k := range keys {
-		snap.CFs = append(snap.CFs, wire.FromFlow(k))
-	}
-	snap.Acked = s.ackedLocked()
-	return snap
 }
 
 // ackedLocked returns the per-client ack highwaters, sorted by client.
@@ -1051,22 +1008,6 @@ func (s *Server) ackedLocked() []wire.ClientAck {
 	return acked
 }
 
-func flowKeyLess(a, b fabric.FlowKey) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	if a.Dst != b.Dst {
-		return a.Dst < b.Dst
-	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
-	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
-	}
-	return a.Proto < b.Proto
-}
-
 func (s *Server) count(f func(*ServerStats)) {
 	s.mu.Lock()
 	f(&s.stats)
@@ -1084,9 +1025,9 @@ func (s *Server) alreadyAcked(client string, seq int64) bool {
 // grants the same full token bucket, so a client arriving via recovery
 // or an applier-side ack is not spuriously rate-limited from zero.
 func (s *Server) newClientState(now time.Time) *clientState {
-	st := &clientState{lastSeen: now, refilled: now}
+	st := &clientState{lastSeen: now}
 	if s.cfg.RateLimit.Rate > 0 {
-		st.tokens = float64(s.burst())
+		st.bucket = NewTokenBucket(s.cfg.RateLimit.Rate, s.cfg.RateLimit.Burst, now)
 	}
 	return st
 }
@@ -1154,17 +1095,6 @@ func (s *Server) evictIdle(now time.Time) {
 	}
 }
 
-func (s *Server) burst() int {
-	b := s.cfg.RateLimit.Burst
-	if b <= 0 {
-		b = int(s.cfg.RateLimit.Rate + 0.999)
-		if b < 1 {
-			b = 1
-		}
-	}
-	return b
-}
-
 // admit charges one token from the client's bucket; false means the
 // client is over its rate and must back off.
 func (s *Server) admit(key string) bool {
@@ -1179,54 +1109,44 @@ func (s *Server) admit(key string) bool {
 		st = s.newClientState(now)
 		s.clients[key] = st
 	}
-	burst := float64(s.burst())
-	st.tokens += s.cfg.RateLimit.Rate * now.Sub(st.refilled).Seconds()
-	if st.tokens > burst {
-		st.tokens = burst
-	}
-	st.refilled = now
-	if st.tokens < 1 {
-		return false
-	}
-	st.tokens--
-	return true
+	return st.bucket.Take(now)
 }
 
-// ingestLocked stores one validated message under the state lock.
-func (s *Server) ingestLocked(msg *Message) error {
+// ingestLocked is ingest under the state lock.
+func (s *Server) ingestLocked(sm wire.SourcedMessage) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ingest(msg)
+	return s.ingest(sm)
 }
 
-// ingest stores one validated message. Validation lives in ParseMessage;
-// by the time a message reaches here its payload is present and singular.
-// Callers hold s.mu.
-func (s *Server) ingest(msg *Message) error {
-	switch msg.Type {
+// ingest appends one message to the log and folds it into the diagnosis
+// index. It is the only writer of either — live ingest, recovery, remap
+// and adopt all go through it — so the index is always the log's
+// replay. Validation lives in ParseMessage; the payload checks here
+// guard replays of persisted state. Callers hold s.mu.
+func (s *Server) ingest(sm wire.SourcedMessage) error {
+	switch sm.Type {
 	case TypeStep:
-		if msg.Step == nil {
+		if sm.Step == nil {
 			return errors.New("step message without payload")
 		}
-		rec := msg.Step.Record()
+		rec := sm.Step.Record()
 		s.records = append(s.records, rec)
 		s.stepIndex[rec.Flow] = waitgraph.StepRef{Host: rec.Host, Step: rec.Step}
 	case TypeReport:
-		if msg.Report == nil {
+		if sm.Report == nil {
 			return errors.New("report message without payload")
 		}
-		s.reports = append(s.reports, msg.Report.Telemetry())
+		s.reports = append(s.reports, sm.Report.Telemetry())
 	case TypeCF:
-		if msg.CF == nil {
+		if sm.CF == nil {
 			return errors.New("cf message without payload")
 		}
-		s.cfs[msg.CF.Key()] = true
+		s.cfs[sm.CF.Key()] = true
 	default:
-		return fmt.Errorf("unknown message type %q", msg.Type)
+		return fmt.Errorf("unknown message type %q", sm.Type)
 	}
-	if s.cfg.Shard != nil {
-		s.sourced = append(s.sourced, sourcedFromMessage(msg))
-	}
+	s.sourced = append(s.sourced, sm)
 	return nil
 }
 

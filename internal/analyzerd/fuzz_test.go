@@ -70,7 +70,7 @@ func FuzzParseMessage(f *testing.F) {
 			stepIndex: make(map[fabric.FlowKey]waitgraph.StepRef),
 			clients:   make(map[string]*clientState),
 		}
-		if err := s.ingest(msg); err != nil {
+		if err := s.ingest(sourcedFromMessage(msg)); err != nil {
 			t.Fatalf("validated message rejected by ingest: %v", err)
 		}
 	})

@@ -11,7 +11,7 @@ import (
 )
 
 // Shard-side half of a live fleet rebalance. The router drives the
-// protocol: it dumps donors, slices the dumps into wire.Handoff units,
+// protocol: it dumps donors, slices the dumps into handoff units,
 // delivers each to its target with the "adopt" verb, and finally
 // installs the new map at every surviving shard with "remap". Both
 // verbs run on the applier goroutine — the same serialization point as
@@ -74,11 +74,11 @@ func (s *Server) applyRemap(item ingestItem) {
 		s.replyf(item.conn, `{"error":%q}`+"\n", err.Error())
 		return
 	}
-	if s.cfg.Shard.Index >= next.Shards {
+	if s.index >= next.Shards {
 		// A shrink stops removed shards; it never remaps them — a shard
 		// must not install a map that disowns everything it holds.
 		s.replyf(item.conn, `{"error":%q}`+"\n",
-			fmt.Sprintf("map of %d shards removes shard %d", next.Shards, s.cfg.Shard.Index))
+			fmt.Sprintf("map of %d shards removes shard %d", next.Shards, s.index))
 		return
 	}
 	reassigned := s.installMap(next, ring)
@@ -98,8 +98,8 @@ func (s *Server) applyRemap(item ingestItem) {
 	s.replyf(item.conn, `{"remapped":true,"epoch":%d,"reassigned":%d}`+"\n", next.Epoch, reassigned)
 }
 
-// installMap swaps the ring and re-derives all in-memory state from
-// the sourced messages the new map still assigns here, returning how
+// installMap swaps the ring and rebuilds the log and diagnosis index by
+// replaying the messages the new map still assigns here, returning how
 // many retained messages were dropped as reassigned.
 func (s *Server) installMap(next wire.ShardMap, ring *wire.HashRing) int {
 	s.mu.Lock()
@@ -107,22 +107,17 @@ func (s *Server) installMap(next wire.ShardMap, ring *wire.HashRing) int {
 	s.shardMu.Lock()
 	s.shardMap, s.ring = next, ring
 	s.shardMu.Unlock()
-	index := s.cfg.Shard.Index
 	old := s.sourced
-	kept := make([]wire.SourcedMessage, 0, len(old))
 	reassigned := 0
-	for _, sm := range old {
-		if sm.Client != "" && ring.Owner(sm.Client) != index {
-			reassigned++
-			continue
-		}
-		kept = append(kept, sm)
-	}
 	s.records, s.reports, s.sourced = nil, nil, nil
 	s.cfs = make(map[fabric.FlowKey]bool)
 	s.stepIndex = make(map[fabric.FlowKey]waitgraph.StepRef)
-	for _, sm := range kept {
-		if err := s.ingest(messageFromSourced(sm)); err != nil {
+	for _, sm := range old {
+		if sm.Client != "" && ring.Owner(sm.Client) != s.index {
+			reassigned++
+			continue
+		}
+		if err := s.ingest(sm); err != nil {
 			// Every retained message was ingested once already; failing
 			// now means memory corruption — surface it, don't hide it.
 			s.log.Warn("remap: dropping unreplayable retained message",
@@ -130,7 +125,7 @@ func (s *Server) installMap(next wire.ShardMap, ring *wire.HashRing) int {
 		}
 	}
 	for id := range s.clients {
-		if id != "" && ring.Owner(id) != index {
+		if id != "" && ring.Owner(id) != s.index {
 			delete(s.clients, id) // the new owner holds this window now
 		}
 	}
@@ -138,8 +133,8 @@ func (s *Server) installMap(next wire.ShardMap, ring *wire.HashRing) int {
 }
 
 // applyAdopt absorbs one handoff: the moved clients' retained messages
-// are WAL-appended (so a crash replays them) and re-ingested, and
-// their ack highwaters install as dedup baselines. The handoff must
+// are WAL-appended (so a crash replays them) and ingested, and their
+// ack highwaters install as dedup baselines. The handoff must
 // carry exactly the shard's current map — behind is stale, ahead means
 // the router's remap is still in flight (retryable). A re-delivered
 // handoff from the same donor at the same epoch short-circuits, so
@@ -148,15 +143,15 @@ func (s *Server) installMap(next wire.ShardMap, ring *wire.HashRing) int {
 func (s *Server) applyAdopt(item ingestItem) {
 	h := item.msg.Handoff
 	cur := s.curShardMap()
-	index := s.cfg.Shard.Index
+	index := s.index
 	switch {
-	case h.Format != wire.HandoffFormat:
+	case h.Format != wire.SnapshotFormat:
 		s.replyf(item.conn, `{"error":%q}`+"\n",
 			fmt.Sprintf("unsupported handoff format %d", h.Format))
 		return
-	case h.To != index:
+	case h.Shard != index:
 		s.replyf(item.conn, `{"error":%q}`+"\n",
-			fmt.Sprintf("handoff targets shard %d, this is shard %d", h.To, index))
+			fmt.Sprintf("handoff targets shard %d, this is shard %d", h.Shard, index))
 		return
 	case h.Map.Epoch < cur.Epoch:
 		s.count(func(st *ServerStats) { st.StaleEpochs++ })
@@ -194,10 +189,10 @@ func (s *Server) applyAdopt(item ingestItem) {
 			return
 		}
 	}
-	for _, hc := range h.Clients {
-		if hc.Client == "" || ring(hc.Client) != index {
+	for _, a := range h.Acked {
+		if a.Client == "" || ring(a.Client) != index {
 			s.replyf(item.conn, `{"error":%q}`+"\n",
-				fmt.Sprintf("handoff carries client %q this shard does not own", hc.Client))
+				fmt.Sprintf("handoff carries client %q this shard does not own", a.Client))
 			return
 		}
 	}
@@ -209,9 +204,10 @@ func (s *Server) applyAdopt(item ingestItem) {
 		if dup {
 			continue // an earlier (partially crashed) adopt already took it
 		}
-		msg := messageFromSourced(sm)
 		if s.wal != nil {
-			raw, err := json.Marshal(msg)
+			// A sourced message marshals to a valid protocol line, which
+			// is what the WAL holds and recovery re-parses.
+			raw, err := json.Marshal(sm)
 			if err == nil {
 				_, err = s.wal.Append(raw)
 			}
@@ -223,7 +219,7 @@ func (s *Server) applyAdopt(item ingestItem) {
 			}
 		}
 		s.mu.Lock()
-		if err := s.ingest(msg); err != nil {
+		if err := s.ingest(sm); err != nil {
 			// Mirror apply()'s permanent-rejection contract: the message
 			// is handled (dropped) and the highwater still advances, so
 			// the stream cannot wedge on the hole.
@@ -237,16 +233,16 @@ func (s *Server) applyAdopt(item ingestItem) {
 		adopted++
 	}
 	s.mu.Lock()
-	for _, hc := range h.Clients {
-		if hc.Acked > 0 {
-			s.markAcked(hc.Client, hc.Acked)
+	for _, a := range h.Acked {
+		if a.Seq > 0 {
+			s.markAcked(a.Client, a.Seq)
 		}
 	}
 	s.adoptedEpochs[h.From] = h.Map.Epoch
 	s.stats.Adopted += int64(adopted)
 	s.mu.Unlock()
 	s.log.Info("handoff adopted", "from", h.From, "epoch", h.Map.Epoch,
-		"messages", adopted, "clients", len(h.Clients))
+		"messages", adopted, "clients", len(h.Acked))
 	if s.wal != nil {
 		// Make the adoption (including bare ack baselines, which the WAL
 		// does not carry) durable before acknowledging it; on failure the

@@ -45,7 +45,7 @@ func remapLine(t *testing.T, m wire.ShardMap) string {
 	return fmt.Sprintf(`{"type":"remap","map":%s}`, b)
 }
 
-func adoptLine(t *testing.T, h *wire.Handoff) string {
+func adoptLine(t *testing.T, h *wire.Snapshot) string {
 	t.Helper()
 	b, err := json.Marshal(h)
 	if err != nil {
@@ -162,7 +162,7 @@ func TestShardAdoptProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildHandoffs: %v", err)
 	}
-	if len(handoffs) != 1 || handoffs[0].To != 1 || len(handoffs[0].Messages) != 2 {
+	if len(handoffs) != 1 || handoffs[0].Shard != 1 || len(handoffs[0].Messages) != 2 {
 		t.Fatalf("handoffs = %+v, want one 2-message unit for shard 1", handoffs)
 	}
 	h := handoffs[0]
@@ -181,7 +181,7 @@ func TestShardAdoptProtocol(t *testing.T) {
 	wantErrContaining(t, adminLine(t, adoptee.Addr(), adoptLine(t, &stale)), "stale")
 	// Misdelivered unit.
 	wrong := *h
-	wrong.To = 5
+	wrong.Shard = 5
 	wantErrContaining(t, adminLine(t, adoptee.Addr(), adoptLine(t, &wrong)), "targets shard")
 	// A handoff carrying a client the ring does not place here is a
 	// corrupt artifact, refused before any mutation.

@@ -7,12 +7,10 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 	"time"
 
 	"vedrfolnir/internal/chaos"
-	"vedrfolnir/internal/fabric"
 	"vedrfolnir/internal/scenario"
 	"vedrfolnir/internal/wire"
 )
@@ -36,14 +34,9 @@ func linearize(res scenario.Result) []sendFn {
 		rep := rep
 		items = append(items, func(rc *ReliableClient) error { return rc.SendReport(rep) })
 	}
-	cfs := make([]fabric.FlowKey, 0, len(res.CFs))
-	for cf := range res.CFs {
-		cfs = append(cfs, cf)
-	}
-	sort.Slice(cfs, func(i, j int) bool { return flowKeyLess(cfs[i], cfs[j]) })
-	for _, cf := range cfs {
-		cf := cf
-		items = append(items, func(rc *ReliableClient) error { return rc.SendCF(cf) })
+	for _, cf := range wire.NewBundle(nil, nil, res.CFs).CFs { // canonically sorted
+		key := cf.Key()
+		items = append(items, func(rc *ReliableClient) error { return rc.SendCF(key) })
 	}
 	return items
 }

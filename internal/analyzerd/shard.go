@@ -29,18 +29,19 @@ func (c *ShardConfig) ring() (*wire.HashRing, error) {
 }
 
 // disownedBy reports whether client is a named client the shard map
-// assigns to a different shard, and which one. Always false outside
-// shard mode and for unnamed (peer-keyed) submissions. The ring is
-// read under shardMu: a live remap may swap it at any time.
+// assigns to a different shard, and which one. Always false for a
+// standalone daemon (its 1-shard map owns everything) and for unnamed
+// (peer-keyed) submissions. The ring is read under shardMu: a live
+// remap may swap it at any time.
 func (s *Server) disownedBy(client string) (owner int, moved bool) {
-	if s.cfg.Shard == nil || client == "" {
+	if client == "" {
 		return 0, false
 	}
 	s.shardMu.RLock()
 	ring := s.ring
 	s.shardMu.RUnlock()
 	owner = ring.Owner(client)
-	return owner, owner != s.cfg.Shard.Index
+	return owner, owner != s.index
 }
 
 // curShardMap returns the map the shard is currently running under.
@@ -69,17 +70,10 @@ func (s *Server) replyMoved(conn net.Conn, seq int64, client string, owner int) 
 	}
 }
 
-// replyDump answers the "dump" verb with this shard's full sourced
-// message state as one wire.ShardState JSON line. Outside shard mode
-// the verb is an error — a standalone daemon does not retain message
-// provenance.
+// replyDump answers the "dump" verb with the daemon's state as one
+// wire.Snapshot JSON line.
 func (s *Server) replyDump(conn net.Conn) {
-	if s.cfg.Shard == nil {
-		s.replyf(conn, `{"error":"not a fleet shard"}`+"\n")
-		return
-	}
-	state := s.ShardState()
-	b, err := json.Marshal(state)
+	b, err := json.Marshal(s.State())
 	if err != nil {
 		s.replyf(conn, `{"error":%q}`+"\n", err.Error())
 		return
@@ -88,21 +82,20 @@ func (s *Server) replyDump(conn net.Conn) {
 	s.replyf(conn, "%s", b)
 }
 
-// ShardState returns the shard's accepted messages (ingest order) and
+// State returns the daemon's accepted messages (ingest order) and
 // per-client ack highwaters, with its position in the fleet under the
-// *current* (possibly remapped) shard map. Only meaningful in shard
-// mode; a standalone server returns an empty state.
-func (s *Server) ShardState() *wire.ShardState {
+// *current* (possibly remapped) shard map. A standalone daemon reports
+// shard 0 of a 1-shard map.
+func (s *Server) State() *wire.Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	state := &wire.ShardState{Format: wire.ShardStateFormat}
-	if s.cfg.Shard != nil {
-		state.Shard = s.cfg.Shard.Index
-		state.Map = s.curShardMap()
-		state.Acked = s.ackedLocked()
+	return &wire.Snapshot{
+		Format:   wire.SnapshotFormat,
+		Map:      s.curShardMap(),
+		Shard:    s.index,
+		Messages: append([]wire.SourcedMessage(nil), s.sourced...),
+		Acked:    s.ackedLocked(),
 	}
-	state.Messages = append(state.Messages, s.sourced...)
-	return state
 }
 
 // sourcedFromMessage strips a protocol message to its durable identity
@@ -115,18 +108,6 @@ func sourcedFromMessage(msg *Message) wire.SourcedMessage {
 		Step:   msg.Step,
 		Report: msg.Report,
 		CF:     msg.CF,
-	}
-}
-
-// messageFromSourced is the inverse of sourcedFromMessage.
-func messageFromSourced(sm wire.SourcedMessage) *Message {
-	return &Message{
-		Type:   sm.Type,
-		Step:   sm.Step,
-		Report: sm.Report,
-		CF:     sm.CF,
-		Seq:    sm.Seq,
-		Client: sm.Client,
 	}
 }
 

@@ -2,6 +2,7 @@ package analyzerd
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -103,7 +104,7 @@ func TestShardMovedNackAndErrRedirected(t *testing.T) {
 
 // dumpState drives the dump verb over raw TCP, as the fleet aggregator
 // does.
-func dumpState(t *testing.T, addr string) *wire.ShardState {
+func dumpState(t *testing.T, addr string) *wire.Snapshot {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -117,7 +118,7 @@ func dumpState(t *testing.T, addr string) *wire.ShardState {
 	if err != nil {
 		t.Fatalf("read dump reply: %v", err)
 	}
-	var state wire.ShardState
+	var state wire.Snapshot
 	if err := json.Unmarshal(line, &state); err != nil {
 		t.Fatalf("bad dump reply %q: %v", line, err)
 	}
@@ -157,29 +158,64 @@ func TestShardDumpReturnsSourcedMessages(t *testing.T) {
 	}
 }
 
-func TestDumpOnStandaloneServerErrors(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0")
+// TestStandaloneDumpMergesToDiagnosis: a standalone daemon answers dump
+// as shard 0 of a 1-shard map, and merging that dump reproduces its own
+// diagnosis — before a crash and after recovery from snapshot + WAL.
+// The merge reorders messages canonically, so this also pins that the
+// diagnosis does not depend on ingest order.
+func TestStandaloneDumpMergesToDiagnosis(t *testing.T) {
+	items := linearize(runScenario(t))
+	dir := t.TempDir()
+	cfg := DefaultServerConfig()
+	// One snapshot, then a three-message WAL tail.
+	cfg.Durability = &DurabilityConfig{Dir: dir, Fsync: FsyncAlways, SnapshotEvery: len(items) - 3}
+
+	mergedDiag := func(srv *Server) []byte {
+		t.Helper()
+		state := dumpState(t, srv.Addr())
+		if state.Shard != 0 || state.Map != (wire.ShardMap{Shards: 1}) {
+			t.Fatalf("standalone dump identifies as shard %d of %+v, want 0 of a 1-shard map",
+				state.Shard, state.Map)
+		}
+		bundle, _ := wire.MergeShardStates([]*wire.Snapshot{state})
+		b, err := json.Marshal(wire.FromDiagnosis(bundle.Analyze()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	srv, err := ServeWith("127.0.0.1:0", cfg)
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatal(err)
 	}
-	defer srv.Close()
-	conn, err := net.Dial("tcp", srv.Addr())
+	rc, err := NewReliableClient(srv.Addr(), ClientConfig{ID: "h1", Sleep: noSleep})
 	if err != nil {
-		t.Fatalf("dial: %v", err)
+		t.Fatal(err)
 	}
-	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, `{"type":"dump"}`+"\n"); err != nil {
-		t.Fatalf("write: %v", err)
+	sendRange(t, rc, items, 0, len(items))
+	if err := rc.Close(); err != nil {
+		t.Fatal(err)
 	}
-	line, err := bufio.NewReader(conn).ReadBytes('\n')
+	want := diagBytes(t, srv)
+	if got := mergedDiag(srv); !bytes.Equal(got, want) {
+		t.Fatalf("merged dump diagnosis differs from Diagnose():\n%s\nvs\n%s", got, want)
+	}
+	srv.Abort()
+
+	s2, err := ServeWith("127.0.0.1:0", cfg)
 	if err != nil {
-		t.Fatalf("read: %v", err)
+		t.Fatalf("recovery: %v", err)
 	}
-	var rep struct {
-		Error string `json:"error"`
+	defer s2.Close()
+	if rec := s2.Recovery(); !rec.SnapshotLoaded || rec.WALEntries == 0 {
+		t.Fatalf("recovery %+v, want a snapshot plus a WAL tail", rec)
 	}
-	if err := json.Unmarshal(line, &rep); err != nil || rep.Error == "" {
-		t.Fatalf("want an error reply, got %q (%v)", line, err)
+	if got := diagBytes(t, s2); !bytes.Equal(got, want) {
+		t.Fatalf("recovered Diagnose() differs:\n%s\nvs\n%s", got, want)
+	}
+	if got := mergedDiag(s2); !bytes.Equal(got, want) {
+		t.Fatalf("recovered merged dump diagnosis differs:\n%s\nvs\n%s", got, want)
 	}
 }
 
@@ -215,7 +251,7 @@ func TestShardRecoveryDropsReassignedClients(t *testing.T) {
 	}
 	srv.Abort() // SIGKILL stand-in: no drain snapshot, WAL abandoned
 
-	recoverOnce := func() (RecoverStats, *wire.ShardState) {
+	recoverOnce := func() (RecoverStats, *wire.Snapshot) {
 		cfg := DefaultServerConfig()
 		cfg.Shard = &ShardConfig{Map: narrow, Index: 0}
 		cfg.Durability = &DurabilityConfig{Dir: dir, Fsync: FsyncAlways, SnapshotEvery: 0}
@@ -224,7 +260,7 @@ func TestShardRecoveryDropsReassignedClients(t *testing.T) {
 			t.Fatalf("recover ServeWith: %v", err)
 		}
 		stats := s2.Recovery()
-		state := s2.ShardState()
+		state := s2.State()
 		if err := s2.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
@@ -276,14 +312,14 @@ func TestShardSnapshotRoundTrip(t *testing.T) {
 	if err := rc.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	want := srv.ShardState()
+	want := srv.State()
 	if err := srv.Drain(); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
 
 	s2 := shardServe(t, m, 0, dir)
 	defer s2.Close()
-	if got := s2.ShardState(); !reflect.DeepEqual(got, want) {
+	if got := s2.State(); !reflect.DeepEqual(got, want) {
 		t.Errorf("restarted shard state differs:\n got %+v\nwant %+v", got, want)
 	}
 	if rec := s2.Recovery(); rec.SnapshotCFs != 5 {

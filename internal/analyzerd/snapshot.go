@@ -16,7 +16,7 @@ const snapshotFileName = "snapshot.json"
 // live name, and the directory is fsynced so the rename itself is durable.
 // A crash at any point leaves either the old snapshot or the new one,
 // never a torn mix.
-func writeSnapshot(dir string, snap wire.Snapshot) error {
+func writeSnapshot(dir string, snap *wire.Snapshot) error {
 	b, err := json.Marshal(snap)
 	if err != nil {
 		return fmt.Errorf("analyzerd: snapshot: %w", err)
@@ -67,6 +67,8 @@ func syncDir(dir string) error {
 // exists; an unreadable or wrong-format snapshot is an error (snapshot
 // writes are atomic, so a corrupt one means the storage itself is
 // damaged and silently ignoring it would replay an incomplete state).
+// Format-1 snapshots held derived records/reports/CFs instead of the
+// message log; they are refused rather than converted.
 func readSnapshot(dir string) (snap wire.Snapshot, ok bool, err error) {
 	b, err := os.ReadFile(filepath.Join(dir, snapshotFileName))
 	if err != nil {
@@ -80,8 +82,9 @@ func readSnapshot(dir string) (snap wire.Snapshot, ok bool, err error) {
 			filepath.Join(dir, snapshotFileName), err)
 	}
 	if snap.Format != wire.SnapshotFormat {
-		return wire.Snapshot{}, false, fmt.Errorf("analyzerd: snapshot has format %d, want %d",
-			snap.Format, wire.SnapshotFormat)
+		return wire.Snapshot{}, false, fmt.Errorf(
+			"analyzerd: snapshot %s has format %d, want format %d (format 1 predates message-form state and is not read)",
+			filepath.Join(dir, snapshotFileName), snap.Format, wire.SnapshotFormat)
 	}
 	return snap, true, nil
 }
@@ -92,8 +95,8 @@ func readSnapshot(dir string) (snap wire.Snapshot, ok bool, err error) {
 type RecoverStats struct {
 	// SnapshotLoaded reports whether a snapshot anchored the recovery.
 	SnapshotLoaded bool
-	// SnapshotRecords/Reports/CFs count the state restored from the
-	// snapshot.
+	// SnapshotRecords/Reports/CFs count the messages, by type, restored
+	// from the snapshot.
 	SnapshotRecords int
 	SnapshotReports int
 	SnapshotCFs     int
@@ -112,7 +115,7 @@ type RecoverStats struct {
 	WALTornTail       bool
 	// Reassigned counts recovered messages dropped because the shard map
 	// of the restarted incarnation assigns their client to a different
-	// shard (shard mode only; the owning shard replays them instead).
+	// shard (the owning shard replays them instead).
 	Reassigned int
 	// NextLSN is the first LSN the reopened log will assign.
 	NextLSN uint64
@@ -125,7 +128,7 @@ type RecoveredState struct {
 	Snapshot wire.Snapshot
 	// Messages are the replayed WAL entries at or above the snapshot
 	// horizon, in ingest order, re-validated through ParseMessage.
-	Messages []*Message
+	Messages []wire.SourcedMessage
 	Stats    RecoverStats
 }
 
@@ -141,41 +144,29 @@ func Recover(dir string) (*RecoveredState, error) {
 		return nil, err
 	}
 	rs := &RecoveredState{Snapshot: snap}
-	rs.Stats.SnapshotLoaded = ok
-	rs.Stats.SnapshotRecords = len(snap.Records)
-	rs.Stats.SnapshotReports = len(snap.Reports)
-	rs.Stats.SnapshotCFs = len(snap.CFs)
-	for _, sm := range snap.Messages {
-		// Shard snapshots carry messages instead of derived state; the
-		// counters still describe what was restored.
-		switch sm.Type {
-		case TypeStep:
-			rs.Stats.SnapshotRecords++
-		case TypeReport:
-			rs.Stats.SnapshotReports++
-		case TypeCF:
-			rs.Stats.SnapshotCFs++
-		}
-	}
-
-	walStats, err := replayWAL(dir, snap.NextLSN, func(_ uint64, payload []byte) error {
+	stats, err := replayWAL(dir, snap.NextLSN, func(_ uint64, payload []byte) error {
 		msg, err := ParseMessage(payload)
 		if err != nil {
 			return err
 		}
-		rs.Messages = append(rs.Messages, msg)
+		rs.Messages = append(rs.Messages, sourcedFromMessage(msg))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	walStats.SnapshotLoaded = rs.Stats.SnapshotLoaded
-	walStats.SnapshotRecords = rs.Stats.SnapshotRecords
-	walStats.SnapshotReports = rs.Stats.SnapshotReports
-	walStats.SnapshotCFs = rs.Stats.SnapshotCFs
-	if walStats.NextLSN < snap.NextLSN {
-		walStats.NextLSN = snap.NextLSN
+	stats.SnapshotLoaded = ok
+	for _, sm := range snap.Messages {
+		switch sm.Type {
+		case TypeStep:
+			stats.SnapshotRecords++
+		case TypeReport:
+			stats.SnapshotReports++
+		case TypeCF:
+			stats.SnapshotCFs++
+		}
 	}
-	rs.Stats = walStats
+	stats.NextLSN = max(stats.NextLSN, snap.NextLSN)
+	rs.Stats = stats
 	return rs, nil
 }

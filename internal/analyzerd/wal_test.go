@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -309,17 +310,24 @@ func TestWALSyncFailureWedges(t *testing.T) {
 	}
 }
 
-func testSnapshot() wire.Snapshot {
-	return wire.Snapshot{
+func testSnapshot() *wire.Snapshot {
+	step1 := wire.StepRecord{Host: 1, Step: 0, Flow: wire.Flow{Src: 1, Dst: 2, SrcPort: 7, DstPort: 8, Proto: 17}, Bytes: 100, StartNS: 5, EndNS: 9}
+	step2 := wire.StepRecord{Host: 2, Step: 1, Flow: wire.Flow{Src: 2, Dst: 3}, Bytes: 50, StartNS: 9, EndNS: 12}
+	report := wire.Report{AtNS: 5, HopsPolled: 3}
+	cf1 := wire.Flow{Src: 1, Dst: 2, SrcPort: 7, DstPort: 8, Proto: 17}
+	cf2 := wire.Flow{Src: 2, Dst: 3}
+	return &wire.Snapshot{
 		Format:  wire.SnapshotFormat,
+		Map:     wire.ShardMap{Shards: 1},
 		NextLSN: 42,
-		Records: []wire.StepRecord{
-			{Host: 1, Step: 0, Flow: wire.Flow{Src: 1, Dst: 2, SrcPort: 7, DstPort: 8, Proto: 17}, Bytes: 100, StartNS: 5, EndNS: 9},
-			{Host: 2, Step: 1, Flow: wire.Flow{Src: 2, Dst: 3}, Bytes: 50, StartNS: 9, EndNS: 12},
+		Messages: []wire.SourcedMessage{
+			{Client: "h1", Seq: 1, Type: wire.MsgStep, Step: &step1},
+			{Client: "h2", Seq: 1, Type: wire.MsgStep, Step: &step2},
+			{Client: "h1", Seq: 2, Type: wire.MsgReport, Report: &report},
+			{Type: wire.MsgCF, CF: &cf1},
+			{Type: wire.MsgCF, CF: &cf2},
 		},
-		Reports: []wire.Report{{AtNS: 5, HopsPolled: 3}},
-		CFs:     []wire.Flow{{Src: 1, Dst: 2, SrcPort: 7, DstPort: 8, Proto: 17}, {Src: 2, Dst: 3}},
-		Acked:   []wire.ClientAck{{Client: "h1", Seq: 9}, {Client: "h2", Seq: 4}},
+		Acked: []wire.ClientAck{{Client: "h1", Seq: 9}, {Client: "h2", Seq: 4}},
 	}
 }
 
@@ -340,7 +348,7 @@ func TestSnapshotWriteReadRoundTrip(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("readSnapshot: ok=%v err=%v", ok, err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(&got, want) {
 		t.Fatalf("round trip lost data:\n%+v\nvs\n%+v", got, want)
 	}
 	// Determinism: writing the same state again is byte-identical.
@@ -377,6 +385,63 @@ func TestReadSnapshotRejectsCorruptAndWrongFormat(t *testing.T) {
 	}
 	if _, _, err := readSnapshot(dir); err == nil {
 		t.Fatal("wrong-format snapshot accepted")
+	}
+}
+
+// TestFormat1SnapshotRefused: a format-1 snapshot (derived records,
+// reports and CFs, written before the message log was the only state)
+// makes startup fail with an error naming both formats, and the WAL
+// beside it is left exactly as it was.
+func TestFormat1SnapshotRefused(t *testing.T) {
+	dir := t.TempDir()
+	cfg := DefaultServerConfig()
+	cfg.Durability = &DurabilityConfig{Dir: dir, Fsync: FsyncAlways}
+	srv, err := ServeWith("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := NewReliableClient(srv.Addr(), ClientConfig{ID: "h1", Sleep: noSleep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := rc.SendCF(testFlow(i).Key()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil { // Close leaves the WAL, no snapshot
+		t.Fatal(err)
+	}
+	v1 := `{"format":1,"next_lsn":1,"records":[{"host":1,"step":0,"flow":{"src":1,"dst":2,"sport":7,"dport":8,"proto":17},"bytes":100,"start_ns":5,"end_ns":9}],"cfs":[{"src":1,"dst":2}],"acked":[{"client":"h1","seq":3}]}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, snapshotFileName), []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, walFileName)
+	before, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(before) == 0 {
+		t.Fatal("setup: WAL is empty")
+	}
+
+	srv2, err := ServeWith("127.0.0.1:0", cfg)
+	if err == nil {
+		srv2.Close()
+		t.Fatal("format-1 snapshot accepted")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "format 1") || !strings.Contains(msg, "format 2") {
+		t.Errorf("error %q does not name both formats", msg)
+	}
+	after, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("refused startup modified the WAL")
 	}
 }
 

@@ -389,7 +389,7 @@ func (f *Fleet) Drain(scope *obs.Scope) (*Merged, error) {
 	shards := f.router.Shards() // post-resize width, not the starting one
 	tallies := f.router.Tallies()
 	merged := &Merged{Tenants: f.router.TenantAccounts()}
-	states := make([]*wire.ShardState, 0, shards)
+	states := make([]*wire.Snapshot, 0, shards)
 	for i := 0; i < shards; i++ {
 		state, err := f.dumpShardPatiently(i)
 		if err != nil {
@@ -427,7 +427,7 @@ func (f *Fleet) Drain(scope *obs.Scope) (*Merged, error) {
 // failed dial must not cost the merge that shard's whole slice. The
 // deliberately held shard gets no such grace — its absence is the
 // degraded-drain drill's entire point.
-func (f *Fleet) dumpShardPatiently(i int) (*wire.ShardState, error) {
+func (f *Fleet) dumpShardPatiently(i int) (*wire.Snapshot, error) {
 	state, err := f.router.DumpShard(i)
 	if err == nil || i == f.cfg.HoldShard {
 		return state, err

@@ -155,7 +155,7 @@ func fleetRun(t *testing.T, shards int, kills []chaos.ShardKill) (bundle, diag [
 		}
 	}
 
-	states := make([]*wire.ShardState, 0, shards)
+	states := make([]*wire.Snapshot, 0, shards)
 	for i := 0; i < shards; i++ {
 		state, err := router.DumpShard(i)
 		if err != nil {
@@ -267,7 +267,7 @@ func TestFleetDegradedGather(t *testing.T) {
 	if tallies[dead].Total() == 0 {
 		t.Fatalf("router never tallied anything for shard %d, which owns h00", dead)
 	}
-	var states []*wire.ShardState
+	var states []*wire.Snapshot
 	missedRecords, missedReports := 0, 0
 	for i := 0; i < shards; i++ {
 		state, err := router.DumpShard(i)

@@ -310,7 +310,7 @@ func relistenArgs(args []string, flag, addr string) []string {
 // startChild launches one incarnation and returns its wait channel. The
 // stdout scanner feeds the wait: cmd.Wait is only called after the pipe
 // drains, per the os/exec contract.
-func (p *Proc) startChild() (*exec.Cmd, <-chan error, error) {
+func (p *Proc) startChild() (<-chan error, error) {
 	p.mu.Lock()
 	args := relistenArgs(p.cfg.Args, p.cfg.RelistenFlag, p.addr)
 	p.mu.Unlock()
@@ -318,11 +318,17 @@ func (p *Proc) startChild() (*exec.Cmd, <-chan error, error) {
 	cmd.Stderr = p.cfg.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := cmd.Start(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	// Publish the child before its stdout is read: the scanner below may
+	// see the announce line at once, and a Kill issued on that announce
+	// must find the child to signal.
+	p.mu.Lock()
+	p.cmd = cmd
+	p.mu.Unlock()
 	waitCh := make(chan error, 1)
 	go func() {
 		sc := bufio.NewScanner(stdout)
@@ -347,7 +353,7 @@ func (p *Proc) startChild() (*exec.Cmd, <-chan error, error) {
 		}
 		waitCh <- cmd.Wait()
 	}()
-	return cmd, waitCh, nil
+	return waitCh, nil
 }
 
 // finish records the verdict and wakes every Wait.
@@ -370,17 +376,12 @@ func (p *Proc) supervise() {
 	for {
 		//lint:ignore nosystime measuring a real child's uptime for crash-loop classification
 		start := time.Now()
-		cmd, waitCh, err := p.startChild()
+		waitCh, err := p.startChild()
 		if err != nil {
 			p.logf("starting child: %v", err)
 			p.finish(ProcExit{Code: 1})
 			return
 		}
-		p.mu.Lock()
-		p.cmd = cmd
-		p.announced = false
-		p.mu.Unlock()
-
 		var werr error
 		select {
 		case <-p.termCh:
@@ -395,6 +396,7 @@ func (p *Proc) supervise() {
 		lived := time.Since(start)
 
 		p.mu.Lock()
+		p.announced = false // Ready fails until the next incarnation announces
 		holding := p.holding
 		killed := p.killed
 		p.killed = false

@@ -18,7 +18,7 @@ import (
 //  1. before-quiesce — new shards (grow) start under the next map.
 //  2. The router fences every moved client (retryable NACKs) and waits
 //     for in-flight routed submissions to settle.
-//  3. Every donor shard is dumped; the dumps slice into wire.Handoff
+//  3. Every donor shard is dumped; the dumps slice into handoff
 //     units, one per (donor, adoptee) pair, persisted to HandoffDir.
 //  4. during-handoff — surviving shards get their restart args rewritten
 //     (PrepareShard) and then the "remap" verb: they install the next
@@ -162,7 +162,7 @@ func (r *Router) Resize(shards, replicas int) (*ResizeReport, error) {
 
 	donors := wire.DonorShards(cur, next)
 	report.Donors = donors
-	var handoffs []*wire.Handoff
+	var handoffs []*wire.Snapshot
 	for _, d := range donors {
 		state, err := r.dumpRetry(d, deadline)
 		if err != nil {
@@ -177,7 +177,7 @@ func (r *Router) Resize(shards, replicas int) (*ResizeReport, error) {
 		handoffs = append(handoffs, hs...)
 	}
 	for _, h := range handoffs {
-		report.MovedClients += len(h.Clients)
+		report.MovedClients += len(h.Acked)
 		report.MovedMessages += len(h.Messages)
 	}
 	if err := r.persistHandoffs(handoffs); err != nil {
@@ -211,7 +211,7 @@ func (r *Router) Resize(shards, replicas int) (*ResizeReport, error) {
 		n, err := r.adoptRetry(h, deadline)
 		if err != nil {
 			r.liftFence()
-			return nil, fmt.Errorf("fleet: handing off shard %d -> %d: %w", h.From, h.To, err)
+			return nil, fmt.Errorf("fleet: handing off shard %d -> %d: %w", h.From, h.Shard, err)
 		}
 		report.Handoffs++
 		report.Adopted += n
@@ -289,7 +289,7 @@ func (r *Router) drainInflight(deadline time.Time) error {
 
 // persistHandoffs writes each handoff unit to HandoffDir under its
 // deterministic filename before anything is delivered.
-func (r *Router) persistHandoffs(handoffs []*wire.Handoff) error {
+func (r *Router) persistHandoffs(handoffs []*wire.Snapshot) error {
 	dir := r.cfg.HandoffDir
 	if dir == "" || len(handoffs) == 0 {
 		return nil
@@ -302,7 +302,7 @@ func (r *Router) persistHandoffs(handoffs []*wire.Handoff) error {
 		if err != nil {
 			return fmt.Errorf("fleet: encoding handoff: %w", err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, h.Filename()), b, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, h.HandoffFilename()), b, 0o644); err != nil {
 			return fmt.Errorf("fleet: persisting handoff: %w", err)
 		}
 	}
@@ -310,7 +310,7 @@ func (r *Router) persistHandoffs(handoffs []*wire.Handoff) error {
 }
 
 // dumpRetry dumps one donor shard, riding out supervised restarts.
-func (r *Router) dumpRetry(i int, deadline time.Time) (*wire.ShardState, error) {
+func (r *Router) dumpRetry(i int, deadline time.Time) (*wire.Snapshot, error) {
 	for {
 		state, err := r.DumpShard(i)
 		if err == nil {
@@ -383,13 +383,13 @@ func (r *Router) remapRetry(i int, next wire.ShardMap, deadline time.Time) error
 // adoptRetry delivers one handoff unit to its target shard, returning
 // how many messages the adoptee acknowledged ingesting (a retried
 // delivery after a mid-adopt crash dedups to what was missing).
-func (r *Router) adoptRetry(h *wire.Handoff, deadline time.Time) (int64, error) {
+func (r *Router) adoptRetry(h *wire.Snapshot, deadline time.Time) (int64, error) {
 	b, err := json.Marshal(h)
 	if err != nil {
 		return 0, err
 	}
 	line := []byte(fmt.Sprintf(`{"type":"adopt","handoff":%s}`, b))
-	rep, err := r.adminRetry(h.To, line, "adopt", deadline)
+	rep, err := r.adminRetry(h.Shard, line, "adopt", deadline)
 	if err != nil {
 		return 0, err
 	}

@@ -133,7 +133,7 @@ func rebalanceRun(t *testing.T, from, to, resizeAfter int, kill *chaos.Rebalance
 		}
 	}
 
-	states := make([]*wire.ShardState, 0, router.Shards())
+	states := make([]*wire.Snapshot, 0, router.Shards())
 	for i := 0; i < router.Shards(); i++ {
 		state, err := router.DumpShard(i)
 		if err != nil {
@@ -347,7 +347,7 @@ func TestFleetResizeUnderLoad(t *testing.T) {
 		}
 	}
 
-	states := make([]*wire.ShardState, 0, router.Shards())
+	states := make([]*wire.Snapshot, 0, router.Shards())
 	for i := 0; i < router.Shards(); i++ {
 		state, err := router.DumpShard(i)
 		if err != nil {

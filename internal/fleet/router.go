@@ -44,8 +44,8 @@ type RouterConfig struct {
 	// (start/prepare/stop shard daemons). Nil disables Resize.
 	Rebalance *RebalanceHooks
 	// HandoffDir, when set, persists every handoff unit a Resize builds
-	// as a deterministic JSON file (wire.Handoff.Filename) before it is
-	// delivered — the auditable record of what moved where.
+	// as a deterministic JSON file (wire.Snapshot.HandoffFilename) before
+	// it is delivered — the auditable record of what moved where.
 	HandoffDir string
 	// OnAcked, when set, observes the cumulative count of acknowledged
 	// submissions after each ack is folded in. Called without router
@@ -168,7 +168,7 @@ type Router struct {
 	acked   int64 // cumulative acked submissions (OnAcked feed)
 
 	qmu     sync.Mutex
-	tenants map[string]*tenantBucket
+	tenants map[string]*tenantQuota
 }
 
 // StartRouter binds the router and begins accepting clients.
@@ -215,7 +215,7 @@ func StartRouter(addr string, cfg RouterConfig) (*Router, error) {
 		links:   make([]*shardLink, cfg.Map.Shards),
 		conns:   map[net.Conn]bool{},
 		tallies: map[string]*clientTally{},
-		tenants: map[string]*tenantBucket{},
+		tenants: map[string]*tenantQuota{},
 	}
 	for i := range r.links {
 		l := &shardLink{}
@@ -653,7 +653,7 @@ func (r *Router) noteReply(client string, rep []byte) {
 // serialized shard link. The state's shard index and map are checked
 // against the router's currently installed map — a mismatched dump means
 // the fleet is misassembled, and merging it would corrupt the diagnosis.
-func (r *Router) DumpShard(i int) (*wire.ShardState, error) {
+func (r *Router) DumpShard(i int) (*wire.Snapshot, error) {
 	if r.link(i) == nil {
 		return nil, fmt.Errorf("fleet: no shard %d", i)
 	}
@@ -674,8 +674,8 @@ func (r *Router) DumpShard(i int) (*wire.ShardState, error) {
 
 // decodeDump parses one shard's dump reply, surfacing a shard-side error
 // line as an error.
-func decodeDump(i int, rep []byte) (*wire.ShardState, error) {
-	var state wire.ShardState
+func decodeDump(i int, rep []byte) (*wire.Snapshot, error) {
+	var state wire.Snapshot
 	if err := json.Unmarshal(rep, &state); err != nil {
 		return nil, fmt.Errorf("fleet: shard %d dump: %w", i, err)
 	}

@@ -3,8 +3,8 @@ package fleet
 import (
 	"sort"
 	"strings"
-	"time"
 
+	"vedrfolnir/internal/analyzerd"
 	"vedrfolnir/internal/wire"
 )
 
@@ -37,15 +37,6 @@ func (c *TenantConfig) defaults() {
 	if c.Separator == "" {
 		c.Separator = "/"
 	}
-	if c.Burst <= 0 {
-		c.Burst = int(c.Rate)
-		if float64(c.Burst) < c.Rate {
-			c.Burst++
-		}
-		if c.Burst < 1 {
-			c.Burst = 1
-		}
-	}
 }
 
 // TenantOf resolves a client id to its tenant name.
@@ -59,32 +50,12 @@ func (c *TenantConfig) TenantOf(client string) string {
 	return client
 }
 
-// tenantBucket is one tenant's token bucket plus its drain-time
+// tenantQuota is one tenant's token bucket plus its drain-time
 // accounting. Guarded by the router's qmu.
-type tenantBucket struct {
-	tokens   float64
-	refilled time.Time // last refill instant
-	admitted int64     // submissions that passed the quota gate
-	limited  int64     // submissions NACKed over-quota
-}
-
-// take refills the bucket for the elapsed wall-clock time and spends one
-// token if available.
-func (b *tenantBucket) take(now time.Time, rate float64, burst int) bool {
-	if !b.refilled.IsZero() {
-		if dt := now.Sub(b.refilled).Seconds(); dt > 0 {
-			b.tokens += dt * rate
-		}
-	}
-	b.refilled = now
-	if b.tokens > float64(burst) {
-		b.tokens = float64(burst)
-	}
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
+type tenantQuota struct {
+	bucket   analyzerd.TokenBucket
+	admitted int64 // submissions that passed the quota gate
+	limited  int64 // submissions NACKed over-quota
 }
 
 // admitTenant applies the per-tenant quota to one named submission,
@@ -102,11 +73,11 @@ func (r *Router) admitTenant(client string) (tenant string, ok bool) {
 	r.qmu.Lock()
 	b := r.tenants[tenant]
 	if b == nil {
-		b = &tenantBucket{tokens: float64(tc.Burst)}
+		b = &tenantQuota{bucket: analyzerd.NewTokenBucket(tc.Rate, tc.Burst, now)}
 		r.tenants[tenant] = b
 		r.publishTenant(tenant, b)
 	}
-	ok = b.take(now, tc.Rate, tc.Burst)
+	ok = b.bucket.Take(now)
 	if ok {
 		b.admitted++
 	} else {
@@ -118,7 +89,7 @@ func (r *Router) admitTenant(client string) (tenant string, ok bool) {
 
 // publishTenant registers the per-tenant gauges (caller holds qmu; the
 // closures re-lock on read).
-func (r *Router) publishTenant(tenant string, b *tenantBucket) {
+func (r *Router) publishTenant(tenant string, b *tenantQuota) {
 	reg := r.cfg.Metrics
 	if reg == nil {
 		return

@@ -33,33 +33,50 @@ func TestTenantOf(t *testing.T) {
 	}
 }
 
-// TestTenantBucketTake pins the refill arithmetic to a fixed clock.
+// TestTenantBucketTake pins the refill arithmetic of the quota's token
+// bucket to a fixed clock.
 func TestTenantBucketTake(t *testing.T) {
 	t0 := time.Unix(1000, 0)
-	b := &tenantBucket{tokens: 2, refilled: t0}
-	if !b.take(t0, 1, 2) || !b.take(t0, 1, 2) {
+	b := analyzerd.NewTokenBucket(1, 2, t0)
+	if !b.Take(t0) || !b.Take(t0) {
 		t.Fatal("burst of 2 should admit 2 back-to-back")
 	}
-	if b.take(t0, 1, 2) {
+	if b.Take(t0) {
 		t.Fatal("third instant submission should be limited")
 	}
 	// Half a second refills half a token: still short of the whole
 	// token a submission costs.
-	if b.take(t0.Add(500*time.Millisecond), 1, 2) {
+	if b.Take(t0.Add(500 * time.Millisecond)) {
 		t.Fatal("half-refilled bucket should still limit")
 	}
-	if !b.take(t0.Add(1500*time.Millisecond), 1, 2) {
+	if !b.Take(t0.Add(1500 * time.Millisecond)) {
 		t.Fatal("full second of refill should admit")
 	}
 	// A long idle period caps at Burst, not unbounded credit.
-	b2 := &tenantBucket{tokens: 0, refilled: t0}
+	b2 := analyzerd.NewTokenBucket(1, 2, t0)
+	b2.Take(t0)
+	b2.Take(t0) // drained
 	for i := 0; i < 2; i++ {
-		if !b2.take(t0.Add(time.Hour), 1, 2) {
+		if !b2.Take(t0.Add(time.Hour)) {
 			t.Fatalf("after idle, take %d should be admitted", i)
 		}
 	}
-	if b2.take(t0.Add(time.Hour), 1, 2) {
+	if b2.Take(t0.Add(time.Hour)) {
 		t.Fatal("idle credit must cap at Burst")
+	}
+	// The default depth is the rate rounded up, at least 1.
+	for _, c := range []struct {
+		rate float64
+		want int
+	}{{0.25, 1}, {1, 1}, {2.5, 3}, {4, 4}} {
+		d := analyzerd.NewTokenBucket(c.rate, 0, t0)
+		n := 0
+		for d.Take(t0) {
+			n++
+		}
+		if n != c.want {
+			t.Errorf("rate %v: default burst admitted %d, want %d", c.rate, n, c.want)
+		}
 	}
 }
 

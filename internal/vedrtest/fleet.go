@@ -294,8 +294,8 @@ func (r *Runner) runFleet(sp *spec.Spec, cs scenario.Case, res scenario.Result) 
 
 	// Local canonical merge of the mirrored sourced stream: what the fleet
 	// must reconstruct no matter how it was sharded, killed, or recovered.
-	local, stats := wire.MergeShardStates([]*wire.ShardState{{
-		Format:   wire.ShardStateFormat,
+	local, stats := wire.MergeShardStates([]*wire.Snapshot{{
+		Format:   wire.SnapshotFormat,
 		Map:      wire.ShardMap{Shards: fl.Shards, Replicas: fl.Replicas},
 		Messages: sourced,
 	}})

@@ -57,48 +57,78 @@ func FuzzStepRecordRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzSnapshotRoundTrip: an arbitrary JSON analyzer snapshot must survive
-// an unmarshal → normalize (sort the flow and ack sets) → marshal cycle
+// handoffSeeds is the rebalance-handoff corpus (format-1 handoff
+// shape). FuzzHandoffRoundTrip runs it on its own, and it also seeds the
+// merged FuzzSnapshotRoundTrip corpus.
+var handoffSeeds = [][]byte{
+	[]byte(`{"format":1,"map":{"shards":3,"epoch":2},"from":0,"to":2,"clients":[{"client":"h1","acked":4}],"messages":[{"client":"h1","seq":3,"type":"cf","cf":{"src":1,"dst":2}}]}`),
+	[]byte(`{"format":1,"map":{"shards":2},"from":1,"to":0}`),
+	[]byte(`{}`),
+}
+
+// FuzzSnapshotRoundTrip: an arbitrary JSON analyzer state — snapshot,
+// dump, or rebalance handoff, which share one DTO — must survive an
+// unmarshal → normalize (sort the acks, sort the messages canonically,
+// normalize each report through its internal form) → marshal cycle
 // stably: the second pass is the identity. Recovery equality depends on
-// this — a snapshot written, read back, and written again must be
-// byte-identical.
+// this (a snapshot written, read back, and written again must be
+// byte-identical), and so does the handoff file, the durable artifact
+// of a rebalance. The seeds include format-1 snapshots and handoffs.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"format":1,"next_lsn":7,"records":[{"host":3,"step":1,"flow":{"src":3,"dst":4,"sport":1,"dport":2,"proto":17},"bytes":1048576,"start_ns":100,"end_ns":900}],"cfs":[{"src":9,"dst":1},{"src":2,"dst":3,"proto":6}],"acked":[{"client":"h2","seq":41},{"client":"h1","seq":9}]}`))
 	f.Add([]byte(`{"format":1,"reports":[{"at_ns":5,"triggered_by":{"src":1,"dst":2},"hops_polled":3}]}`))
 	f.Add([]byte(`{}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var snap Snapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return
+	f.Add([]byte(`{"format":2,"map":{"shards":3,"epoch":2},"shard":2,"from":1,"next_lsn":9,"messages":[{"client":"h2","seq":1,"type":"report","report":{"ttl_drops":[{"switch":4,"n":2},{"switch":3,"n":1}]}},{"client":"h1","seq":3,"type":"cf","cf":{"src":1,"dst":2}}],"acked":[{"client":"h2","seq":1},{"client":"h1","seq":4}]}`))
+	for _, seed := range handoffSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(checkStateRoundTrip)
+}
+
+// FuzzHandoffRoundTrip: the state round trip of FuzzSnapshotRoundTrip
+// over the handoff corpus alone, so each handoff seed stays a named
+// regression case.
+func FuzzHandoffRoundTrip(f *testing.F) {
+	for _, seed := range handoffSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(checkStateRoundTrip)
+}
+
+// checkStateRoundTrip is the one state-DTO round-trip property shared by
+// the snapshot and handoff fuzz targets.
+func checkStateRoundTrip(t *testing.T, data []byte) {
+	normalize := func(s *Snapshot) {
+		SortClientAcks(s.Acked)
+		for i, sm := range s.Messages {
+			if sm.Report != nil {
+				r := FromReport(sm.Report.Telemetry())
+				s.Messages[i].Report = &r
+			}
 		}
-		// First pass normalizes the set-valued fields; records and reports
-		// keep ingest order by design.
-		SortFlows(snap.CFs)
-		SortClientAcks(snap.Acked)
-		for i, r := range snap.Reports {
-			snap.Reports[i] = FromReport(r.Telemetry())
-		}
-		a, err := json.Marshal(snap)
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		var snap2 Snapshot
-		if err := json.Unmarshal(a, &snap2); err != nil {
-			t.Fatalf("re-unmarshal of own output: %v", err)
-		}
-		SortFlows(snap2.CFs)
-		SortClientAcks(snap2.Acked)
-		for i, r := range snap2.Reports {
-			snap2.Reports[i] = FromReport(r.Telemetry())
-		}
-		b, err := json.Marshal(snap2)
-		if err != nil {
-			t.Fatalf("re-marshal: %v", err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("snapshot round trip not stable:\n%s\nvs\n%s", a, b)
-		}
-	})
+		sortSourced(s.Messages)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return
+	}
+	normalize(&snap)
+	a, err := json.Marshal(&snap)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	var snap2 Snapshot
+	if err := json.Unmarshal(a, &snap2); err != nil {
+		t.Fatalf("re-unmarshal of own output: %v", err)
+	}
+	normalize(&snap2)
+	b, err := json.Marshal(&snap2)
+	if err != nil {
+		t.Fatalf("re-marshal: %v", err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("state round trip not stable:\n%s\nvs\n%s", a, b)
+	}
 }
 
 // FuzzShardMapDecode: an arbitrary JSON shard map either fails ring
@@ -139,43 +169,6 @@ func FuzzShardMapDecode(f *testing.F) {
 			if o := ring.Owner(key); o < 0 || o >= m.Shards {
 				t.Fatalf("Owner(%q) = %d, outside [0, %d)", key, o, m.Shards)
 			}
-		}
-	})
-}
-
-// FuzzHandoffRoundTrip: an arbitrary JSON handoff survives an unmarshal
-// → normalize (canonical client/message order) → marshal cycle stably —
-// the handoff file is the durable artifact of a rebalance, so its
-// serialization must be a fixed point after one normalization pass.
-func FuzzHandoffRoundTrip(f *testing.F) {
-	f.Add([]byte(`{"format":1,"map":{"shards":3,"epoch":2},"from":0,"to":2,"clients":[{"client":"h1","acked":4}],"messages":[{"client":"h1","seq":3,"type":"cf","cf":{"src":1,"dst":2}}]}`))
-	f.Add([]byte(`{"format":1,"map":{"shards":2},"from":1,"to":0}`))
-	f.Add([]byte(`{}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var h Handoff
-		if err := json.Unmarshal(data, &h); err != nil {
-			return
-		}
-		normalize := func(h *Handoff) {
-			sortSlice(h.Clients, func(a, b HandoffClient) bool { return a.Client < b.Client })
-			sortSourced(h.Messages)
-		}
-		normalize(&h)
-		a, err := json.Marshal(&h)
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		var h2 Handoff
-		if err := json.Unmarshal(a, &h2); err != nil {
-			t.Fatalf("re-unmarshal of own output: %v", err)
-		}
-		normalize(&h2)
-		b, err := json.Marshal(&h2)
-		if err != nil {
-			t.Fatalf("re-marshal: %v", err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("handoff round trip not stable:\n%s\nvs\n%s", a, b)
 		}
 	})
 }

@@ -1,65 +1,30 @@
 package wire
 
-import (
-	"encoding/json"
-	"fmt"
-	"sort"
-)
-
-// HandoffFormat is the supported rebalance-handoff format version.
-const HandoffFormat = 1
-
-// HandoffClient is one moved client's acknowledged-sequence highwater,
-// installed at the new owner as its dedup baseline.
-type HandoffClient struct {
-	Client string `json:"client"`
-	Acked  int64  `json:"acked,omitempty"`
-}
-
-// Handoff is the deterministic state-transfer unit of a live rebalance:
-// the slice of one donor shard's accepted messages (and ack windows)
-// that the new shard map assigns to one target shard. The router builds
-// these from donor dumps, persists each as a file, and delivers them to
-// the targets via the "adopt" verb. Map is the map being installed; its
-// Epoch versions the handoff so a stale delivery is rejected loudly.
-type Handoff struct {
-	Format int      `json:"format"`
-	Map    ShardMap `json:"map"`
-	// From and To are the donor and target shard indexes under the old
-	// and new maps respectively.
-	From int `json:"from"`
-	To   int `json:"to"`
-	// Clients lists every moved client's ack highwater, sorted by
-	// client. A moved client appears here even when it has no retained
-	// messages (every submission may have been rejected past the
-	// window), so the baseline still transfers.
-	Clients []HandoffClient `json:"clients,omitempty"`
-	// Messages holds the moved clients' retained messages in canonical
-	// (client, seq, type, payload) order.
-	Messages []SourcedMessage `json:"messages,omitempty"`
-}
-
-// Filename names the handoff's on-disk artifact; the triple is unique
-// within one rebalance.
-func (h *Handoff) Filename() string {
-	return fmt.Sprintf("epoch-%d-from-%d-to-%d.json", h.Map.Epoch, h.From, h.To)
-}
+import "sort"
 
 // BuildHandoffs slices a donor's dump into per-target handoffs under
-// the new map. The result is deterministic: targets ascend, and within
-// each handoff clients and messages are canonically sorted, so the
-// serialized handoff bytes are a pure function of the donor state and
-// the new map. Unnamed messages have no hash key and never move.
-func BuildHandoffs(state *ShardState, newMap ShardMap) ([]*Handoff, error) {
+// the new map: the deterministic state-transfer units of a live
+// rebalance, which the router persists and delivers via the "adopt"
+// verb. Each handoff's Map is the map being installed, so its Epoch
+// versions the handoff and a stale delivery is rejected loudly. Every
+// moved client's ack highwater is carried in Acked, even when it has no
+// retained messages (every submission may have been rejected past the
+// window), so the baseline still transfers.
+//
+// The result is deterministic: targets ascend, and within each handoff
+// acks and messages are canonically sorted, so the serialized handoff
+// bytes are a pure function of the donor state and the new map. Unnamed
+// messages have no hash key and never move.
+func BuildHandoffs(state *Snapshot, newMap ShardMap) ([]*Snapshot, error) {
 	ring, err := NewHashRing(newMap)
 	if err != nil {
 		return nil, err
 	}
-	byTarget := map[int]*Handoff{}
-	target := func(to int) *Handoff {
+	byTarget := map[int]*Snapshot{}
+	target := func(to int) *Snapshot {
 		h := byTarget[to]
 		if h == nil {
-			h = &Handoff{Format: HandoffFormat, Map: newMap, From: state.Shard, To: to}
+			h = &Snapshot{Format: SnapshotFormat, Map: newMap, Shard: to, From: state.Shard}
 			byTarget[to] = h
 		}
 		return h
@@ -79,51 +44,17 @@ func BuildHandoffs(state *ShardState, newMap ShardMap) ([]*Handoff, error) {
 		}
 		if to := ring.Owner(ack.Client); to != state.Shard {
 			h := target(to)
-			h.Clients = append(h.Clients, HandoffClient{Client: ack.Client, Acked: ack.Seq})
+			h.Acked = append(h.Acked, ack)
 		}
 	}
-	out := make([]*Handoff, 0, len(byTarget))
+	out := make([]*Snapshot, 0, len(byTarget))
 	for _, h := range byTarget {
-		sort.Slice(h.Clients, func(i, j int) bool { return h.Clients[i].Client < h.Clients[j].Client })
+		SortClientAcks(h.Acked)
 		sortSourced(h.Messages)
 		out = append(out, h)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].To < out[j].To })
+	sort.Slice(out, func(i, j int) bool { return out[i].Shard < out[j].Shard })
 	return out, nil
-}
-
-// sortSourced orders messages canonically — the same (client, seq,
-// type, serialized payload) order MergeShardStates uses — so handoff
-// bytes don't depend on the donor's local ingest order.
-func sortSourced(msgs []SourcedMessage) {
-	ties := make([]string, len(msgs))
-	for i, sm := range msgs {
-		if b, err := json.Marshal(sm); err == nil {
-			ties[i] = string(b)
-		}
-	}
-	order := make([]int, len(msgs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(x, y int) bool {
-		a, b := msgs[order[x]], msgs[order[y]]
-		if a.Client != b.Client {
-			return a.Client < b.Client
-		}
-		if a.Seq != b.Seq {
-			return a.Seq < b.Seq
-		}
-		if a.Type != b.Type {
-			return a.Type < b.Type
-		}
-		return ties[order[x]] < ties[order[y]]
-	})
-	sorted := make([]SourcedMessage, len(msgs))
-	for i, idx := range order {
-		sorted[i] = msgs[idx]
-	}
-	copy(msgs, sorted)
 }
 
 // DonorShards returns the old-map shards whose dumps a rebalance must

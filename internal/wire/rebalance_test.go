@@ -150,7 +150,7 @@ func TestBuildHandoffsDeterministic(t *testing.T) {
 		msgs = append(msgs, SourcedMessage{Client: c, Seq: 1, Type: MsgStep, Step: &step})
 		acked = append(acked, ClientAck{Client: c, Seq: 2})
 	}
-	state := &ShardState{Format: ShardStateFormat, Shard: 0, Map: ShardMap{Shards: 2}, Messages: msgs, Acked: acked}
+	state := &Snapshot{Format: SnapshotFormat, Shard: 0, Map: ShardMap{Shards: 2}, Messages: msgs, Acked: acked}
 	hs, err := BuildHandoffs(state, next)
 	if err != nil {
 		t.Fatalf("BuildHandoffs: %v", err)
@@ -159,26 +159,26 @@ func TestBuildHandoffsDeterministic(t *testing.T) {
 		t.Fatal("no handoffs built; expected shard 0 to donate to shards 1 and 2")
 	}
 	for _, h := range hs {
-		if h.From != 0 || h.To == 0 || h.Map != next || h.Format != HandoffFormat {
+		if h.From != 0 || h.Shard == 0 || h.Map != next || h.Format != SnapshotFormat {
 			t.Errorf("handoff header %+v malformed", h)
 		}
 		for _, sm := range h.Messages {
-			if ring.Owner(sm.Client) != h.To {
-				t.Errorf("handoff to %d carries %q owned by %d", h.To, sm.Client, ring.Owner(sm.Client))
+			if ring.Owner(sm.Client) != h.Shard {
+				t.Errorf("handoff to %d carries %q owned by %d", h.Shard, sm.Client, ring.Owner(sm.Client))
 			}
 		}
-		for _, hc := range h.Clients {
-			if hc.Acked != 2 {
-				t.Errorf("client %q handed off with acked %d, want 2", hc.Client, hc.Acked)
+		for _, hc := range h.Acked {
+			if hc.Seq != 2 {
+				t.Errorf("client %q handed off with acked %d, want 2", hc.Client, hc.Seq)
 			}
 		}
-		if want := fmt.Sprintf("epoch-1-from-0-to-%d.json", h.To); h.Filename() != want {
-			t.Errorf("Filename() = %q, want %q", h.Filename(), want)
+		if want := fmt.Sprintf("epoch-1-from-0-to-%d.json", h.Shard); h.HandoffFilename() != want {
+			t.Errorf("HandoffFilename() = %q, want %q", h.HandoffFilename(), want)
 		}
 	}
 
 	// Reverse the donor's ingest order: identical bytes.
-	rev := &ShardState{Format: ShardStateFormat, Shard: 0, Map: state.Map}
+	rev := &Snapshot{Format: SnapshotFormat, Shard: 0, Map: state.Map}
 	for i := len(msgs) - 1; i >= 0; i-- {
 		rev.Messages = append(rev.Messages, msgs[i])
 	}
@@ -200,7 +200,7 @@ func TestBuildHandoffsDeterministic(t *testing.T) {
 // must stay with the donor.
 func TestBuildHandoffsSkipsUnnamed(t *testing.T) {
 	step := StepRecord{Host: 1}
-	state := &ShardState{
+	state := &Snapshot{
 		Shard:    0,
 		Map:      ShardMap{Shards: 1},
 		Messages: []SourcedMessage{{Type: MsgStep, Step: &step}},

@@ -76,17 +76,17 @@ func TestMergeShardStatesPartitionInvariant(t *testing.T) {
 
 	// One big shard vs. per-client shards vs. an interleaved split with a
 	// duplicated message — all must merge to the same bundle.
-	whole := []*ShardState{{Format: ShardStateFormat, Messages: msgs}}
-	var perClient []*ShardState
+	whole := []*Snapshot{{Format: SnapshotFormat, Messages: msgs}}
+	var perClient []*Snapshot
 	byClient := map[string][]SourcedMessage{}
 	for _, m := range msgs {
 		byClient[m.Client] = append(byClient[m.Client], m)
 	}
 	for c := 0; c < 3; c++ {
 		client := fmt.Sprintf("h%02d", c)
-		perClient = append(perClient, &ShardState{Format: ShardStateFormat, Shard: c, Messages: byClient[client]})
+		perClient = append(perClient, &Snapshot{Format: SnapshotFormat, Shard: c, Messages: byClient[client]})
 	}
-	split := []*ShardState{
+	split := []*Snapshot{
 		{Messages: append(append([]SourcedMessage{}, msgs[6:]...), msgs[3])}, // dup of msgs[3]
 		{Messages: msgs[:6]},
 		nil,
@@ -111,7 +111,7 @@ func TestMergeShardStatesPartitionInvariant(t *testing.T) {
 
 func TestMergeShardStatesDedupesCFs(t *testing.T) {
 	f := Flow{Src: 1, Dst: 2, SrcPort: 3, DstPort: 4, Proto: 17}
-	states := []*ShardState{
+	states := []*Snapshot{
 		{Messages: []SourcedMessage{{Client: "a", Seq: 1, Type: MsgCF, CF: &f}}},
 		{Messages: []SourcedMessage{{Client: "b", Seq: 1, Type: MsgCF, CF: &f}}},
 	}
@@ -124,10 +124,10 @@ func TestMergeShardStatesDedupesCFs(t *testing.T) {
 func TestMergeShardStatesUnsequencedDeterministic(t *testing.T) {
 	r1 := StepRecord{Host: 1, Step: 0}
 	r2 := StepRecord{Host: 2, Step: 0}
-	a := []*ShardState{{Messages: []SourcedMessage{
+	a := []*Snapshot{{Messages: []SourcedMessage{
 		{Type: MsgStep, Step: &r1}, {Type: MsgStep, Step: &r2},
 	}}}
-	b := []*ShardState{{Messages: []SourcedMessage{
+	b := []*Snapshot{{Messages: []SourcedMessage{
 		{Type: MsgStep, Step: &r2}, {Type: MsgStep, Step: &r1},
 	}}}
 	ba, _ := MergeShardStates(a)
