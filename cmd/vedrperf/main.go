@@ -24,7 +24,9 @@
 // All workloads run the pinned perf.BenchConfig workload so rows are
 // comparable across machines and PRs; -stages prints the hot-path stage
 // timing breakdown (event queue, fabric forward, telemetry, waitgraph,
-// provenance, diagnose) on stderr.
+// provenance, diagnose) on stderr. sweep installs the stage timers only
+// under -stages and gate never does, so their rows measure the
+// uninstrumented simulator.
 package main
 
 import (
@@ -155,7 +157,12 @@ func runSweep(args []string) {
 		fatal(err)
 	}
 	cfg := perf.BenchConfig()
-	reg := obs.NewRegistry()
+	// Stage timers cost wall time on every event; install them only when
+	// their breakdown is asked for, so the rows measure the plain path.
+	var reg *obs.Registry
+	if *stages {
+		reg = obs.NewRegistry()
+	}
 	var rows []perf.SweepRow
 	err = profiled(*cpuProf, *memProf, func() error {
 		var err error
@@ -261,7 +268,6 @@ func runGate(args []string) {
 		Workers:            workers,
 		Seeds:              *seeds,
 		Repeat:             *repeat,
-		Registry:           obs.NewRegistry(),
 		Progress:           os.Stderr,
 		ExtraAllocsPerCase: *extra,
 	})

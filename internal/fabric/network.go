@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 
+	"vedrfolnir/internal/eventq"
 	"vedrfolnir/internal/obs"
 	"vedrfolnir/internal/sim"
 	"vedrfolnir/internal/simtime"
@@ -71,6 +72,62 @@ type Network struct {
 	// decisions; nil (the default) no-ops and the packet outcome is
 	// identical either way.
 	tForward *obs.Timer
+
+	// freePkts recycles data, ACK and CNP packets (NewPacket/Release).
+	freePkts []*Packet
+}
+
+// Network event kinds (eventq.Event.Kind when To is the Network).
+const (
+	evTxDone   uint8 = iota // Node/Port finished serializing Ref; Aux is its ingress
+	evArrive                // Ref lands on ingress Node/Port
+	evPFC                   // a PFC frame lands on Node/Port; Aux 1 pauses, 0 resumes
+	evDeliver               // control packet Ref reaches host Node (DeliverControl)
+	evStormOn               // injected PFC storm starts at switch Node, ingress Port
+	evStormOff              // ...and ends
+)
+
+// HandleEvent implements eventq.Owner: it runs one of the network's
+// scheduled events.
+func (n *Network) HandleEvent(ev eventq.Event) {
+	node, port := topo.NodeID(ev.Node), int(ev.Port)
+	switch ev.Kind {
+	case evTxDone:
+		n.txDone(node, port, queued{pkt: ev.Ref.(*Packet), ingress: int(ev.Aux)})
+	case evArrive:
+		n.arrive(node, port, ev.Ref.(*Packet))
+	case evPFC:
+		n.setPaused(node, port, ev.Aux == 1)
+	case evDeliver:
+		if d := n.devices[node]; d != nil {
+			d.Receive(ev.Ref.(*Packet), -1)
+		}
+	case evStormOn:
+		n.stormOn(node, port)
+	case evStormOff:
+		n.stormOff(node, port)
+	}
+}
+
+// NewPacket returns a zeroed packet from the network's free list. Hosts
+// allocate their data, ACK and CNP packets here and Release them once
+// consumed, so steady-state traffic allocates no packets.
+func (n *Network) NewPacket() *Packet {
+	if k := len(n.freePkts); k > 0 {
+		pkt := n.freePkts[k-1]
+		n.freePkts = n.freePkts[:k-1]
+		return pkt
+	}
+	return new(Packet)
+}
+
+// Release zeroes pkt and returns it to the free list. The caller must hold
+// the last reference: a device releases a packet only after handling it,
+// and never one it handed on (notifications reach monitors and fault
+// taps, so they are not released).
+func (n *Network) Release(pkt *Packet) {
+	*pkt = Packet{}
+	n.freePkts = append(n.freePkts, pkt)
 }
 
 // SetStages installs wall-time stage timers on the fabric hot path
@@ -197,17 +254,13 @@ func (n *Network) DeliverControl(from, to topo.NodeID, pkt *Packet) int {
 		l := n.Topo.LinkAt(p)
 		lat += l.Delay + l.Bandwidth.Transmit(int64(pkt.Size))
 	}
-	dst := to
-	extras := []simtime.Duration{0}
-	if n.Tap != nil {
-		extras = n.Tap(from, to, pkt)
+	ev := eventq.Event{To: n, Kind: evDeliver, Node: int32(to), Ref: pkt}
+	if n.Tap == nil {
+		n.K.AfterEvent(lat, ev)
+		return len(path)
 	}
-	for _, extra := range extras {
-		n.K.After(lat+extra, func() {
-			if d := n.devices[dst]; d != nil {
-				d.Receive(pkt, -1)
-			}
-		})
+	for _, extra := range n.Tap(from, to, pkt) {
+		n.K.AfterEvent(lat+extra, ev)
 	}
 	return len(path)
 }
@@ -245,16 +298,25 @@ func (n *Network) tryTransmit(node topo.NodeID, port int) {
 		item.pkt.SentAt = int64(n.K.Now())
 	}
 	txTime := ep.bw.Transmit(int64(item.pkt.Size))
-	n.K.After(txTime, func() {
-		ep.busy = false
-		if sw := n.switches[node]; sw != nil {
-			sw.noteDequeue(ep, item)
-		}
-		pkt, delay := item.pkt, ep.delay
-		peer := n.Topo.PeerOf(topo.PortID{Node: node, Port: port})
-		n.K.After(delay, func() { n.arrive(peer.Node, peer.Port, pkt) })
-		n.tryTransmit(node, port)
+	n.K.AfterEvent(txTime, eventq.Event{
+		To: n, Kind: evTxDone, Node: int32(node), Port: int32(port),
+		Aux: int32(item.ingress), Ref: item.pkt,
 	})
+}
+
+// txDone frees the port once item has been serialized, credits its ingress,
+// schedules its arrival at the link's far end and starts the next packet.
+func (n *Network) txDone(node topo.NodeID, port int, item queued) {
+	ep := n.egress[node][port]
+	ep.busy = false
+	if sw := n.switches[node]; sw != nil {
+		sw.noteDequeue(ep, item)
+	}
+	peer := n.Topo.PeerOf(topo.PortID{Node: node, Port: port})
+	n.K.AfterEvent(ep.delay, eventq.Event{
+		To: n, Kind: evArrive, Node: int32(peer.Node), Port: int32(peer.Port), Ref: item.pkt,
+	})
+	n.tryTransmit(node, port)
 }
 
 // arrive handles a packet landing at a node's ingress.
@@ -311,14 +373,12 @@ func (n *Network) sendPFC(node topo.NodeID, ingressPort int, pause bool, causeEg
 		CauseEgress: causeEgress,
 		Injected:    injected,
 	})
-	kind := KindResume
+	var aux int32
 	if pause {
-		kind = KindPause
+		aux = 1
 	}
 	delay := link.Delay + link.Bandwidth.Transmit(int64(PFCSize))
-	n.K.After(delay, func() {
-		n.arrive(up.Node, up.Port, &Packet{Kind: kind, Size: PFCSize})
-	})
+	n.K.AfterEvent(delay, eventq.Event{To: n, Kind: evPFC, Node: int32(up.Node), Port: int32(up.Port), Aux: aux})
 }
 
 // EgressView is a read-only window on an egress port's state for telemetry

@@ -12,6 +12,39 @@ type queued struct {
 	ingress int
 }
 
+// fifo is a head-indexed packet queue that keeps its backing array: pop
+// advances head, so consumed slots stay reusable, and a push into a full
+// array whose front half is consumed slides the live entries down rather
+// than growing the array.
+type fifo struct {
+	buf  []queued
+	head int
+}
+
+func (f *fifo) len() int { return len(f.buf) - f.head }
+
+// live returns the queued entries, head first.
+func (f *fifo) live() []queued { return f.buf[f.head:] }
+
+func (f *fifo) push(it queued) {
+	if len(f.buf) == cap(f.buf) && f.head > 0 && f.head >= len(f.buf)/2 {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	f.buf = append(f.buf, it)
+}
+
+func (f *fifo) pop() queued {
+	it := f.buf[f.head]
+	f.buf[f.head] = queued{}
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+	return it
+}
+
 // egressPort is one output queue of a node (switch or host NIC).
 type egressPort struct {
 	node topo.NodeID
@@ -20,8 +53,8 @@ type egressPort struct {
 	bw    simtime.Rate
 	delay simtime.Duration
 
-	q          []queued // data packets
-	cq         []queued // control packets (ACK/CNP): strict priority
+	q          fifo // data packets
+	cq         fifo // control packets (ACK/CNP): strict priority
 	bytes      int64
 	pktsByFlow map[FlowKey]int
 	busy       bool
@@ -47,34 +80,23 @@ func control(k Kind) bool { return k == KindAck || k == KindCNP }
 // data nor count as packets "in front" for the w(f_i, f_j) matrix.
 func (e *egressPort) push(pkt *Packet, ingress int) {
 	if control(pkt.Kind) {
-		e.cq = append(e.cq, queued{pkt: pkt, ingress: ingress})
+		e.cq.push(queued{pkt: pkt, ingress: ingress})
 	} else {
-		e.q = append(e.q, queued{pkt: pkt, ingress: ingress})
+		e.q.push(queued{pkt: pkt, ingress: ingress})
 		e.pktsByFlow[pkt.Flow]++
 	}
 	e.bytes += int64(pkt.Size)
 }
 
-func (e *egressPort) empty() bool { return len(e.q) == 0 && len(e.cq) == 0 }
+func (e *egressPort) empty() bool { return e.q.len() == 0 && e.cq.len() == 0 }
 
-// head returns the next packet to serialize: control first.
-func (e *egressPort) head() queued {
-	if len(e.cq) > 0 {
-		return e.cq[0]
-	}
-	return e.q[0]
-}
-
+// pop dequeues the next packet to serialize: control first.
 func (e *egressPort) pop() queued {
 	var item queued
-	if len(e.cq) > 0 {
-		item = e.cq[0]
-		e.cq[0] = queued{}
-		e.cq = e.cq[1:]
+	if e.cq.len() > 0 {
+		item = e.cq.pop()
 	} else {
-		item = e.q[0]
-		e.q[0] = queued{}
-		e.q = e.q[1:]
+		item = e.q.pop()
 	}
 	e.bytes -= int64(item.pkt.Size)
 	if !control(item.pkt.Kind) {
@@ -237,12 +259,12 @@ func (s *Switch) busiestEgressFor(ingress int) int {
 	best, bestBytes := -1, int64(-1)
 	for pi, ep := range s.net.egress[s.ID] {
 		var b int64
-		for _, it := range ep.q {
+		for _, it := range ep.q.live() {
 			if it.ingress == ingress {
 				b += int64(it.pkt.Size)
 			}
 		}
-		for _, it := range ep.cq {
+		for _, it := range ep.cq.live() {
 			if it.ingress == ingress {
 				b += int64(it.pkt.Size)
 			}

@@ -30,14 +30,19 @@ func TestMonitorOverheadIsModest(t *testing.T) {
 	}
 	// Fig 11's claim is "practically negligible"; in-process we only
 	// assert the monitor does not blow up the memory budget (wall time is
-	// too noisy for CI-grade assertions).
+	// too noisy for CI-grade assertions). The budget is the data the
+	// AllGather moves — the host memory the real workload needs — not the
+	// simulator's own allocation, which is near zero per event, so the
+	// with/without ratio is only logged.
 	if without.AllocBytes == 0 {
 		t.Fatal("baseline allocated nothing")
 	}
-	ratio := float64(with.AllocBytes) / float64(without.AllocBytes)
-	if ratio > 2.0 {
-		t.Fatalf("monitor allocation ratio %.2f exceeds 2x", ratio)
+	added := int64(with.AllocBytes) - int64(without.AllocBytes)
+	if limit := cfg.Bytes / 100; added > limit {
+		t.Fatalf("monitor allocated %d bytes per run, over 1%% of the %d-byte AllGather", added, cfg.Bytes)
 	}
+	t.Logf("monitor adds %d bytes per run (with/without allocation ratio %.2f)",
+		added, float64(with.AllocBytes)/float64(without.AllocBytes))
 }
 
 func TestCleanRunDeterministicSimTime(t *testing.T) {

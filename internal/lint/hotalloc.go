@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // HotAlloc makes per-iteration allocation visible in the declared hot-path
@@ -20,6 +21,11 @@ import (
 // `return fmt.Errorf(...)` stays legal. Function literals defined inside
 // a loop are not descended into (their execution count is unknowable
 // here), and test files are skipped.
+//
+// In the per-packet packages (fabric, rdma) it also flags any func literal
+// passed to (*sim.Kernel).At or After, loop or not: such a closure is one
+// allocation per scheduled event, and those packages schedule typed
+// events (AtEvent/AfterEvent) instead.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc: "flag per-iteration allocations in hot-path loops: fmt formatting, map construction, " +
@@ -36,6 +42,7 @@ var hotFmtFuncs = map[string]bool{
 }
 
 func runHotAlloc(pass *Pass) error {
+	perPacket := hasPathSuffix(pass.Pkg.Path(), "/internal/fabric", "/internal/rdma")
 	for _, f := range pass.Files {
 		if isTestFile(pass.Fset, f.Pos()) {
 			continue
@@ -47,6 +54,9 @@ func runHotAlloc(pass *Pass) error {
 				return true
 			}
 			stack = append(stack, n)
+			if call, ok := n.(*ast.CallExpr); ok && perPacket {
+				checkKernelClosure(pass, call)
+			}
 			if _, ok := n.(*ast.FuncLit); ok && inLoopBody(stack) {
 				return false
 			}
@@ -188,4 +198,43 @@ func reportVariadicBoxing(pass *Pass, call *ast.CallExpr) {
 			slice.Elem().String())
 		return
 	}
+}
+
+// checkKernelClosure flags a func literal handed to (*sim.Kernel).At or
+// After.
+func checkKernelClosure(pass *Pass, call *ast.CallExpr) {
+	fn := calleeFunc(call, pass.TypesInfo)
+	if fn == nil || (fn.Name() != "At" && fn.Name() != "After") {
+		return
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return
+	}
+	recv := sig.Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	if !ok || named.Obj().Name() != "Kernel" || named.Obj().Pkg() == nil ||
+		!hasPathSuffix(named.Obj().Pkg().Path(), "/internal/sim") {
+		return
+	}
+	for _, arg := range call.Args {
+		if _, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+			pass.Reportf(arg.Pos(),
+				"func literal passed to Kernel.%s allocates a closure per scheduled event; schedule a typed event with %sEvent",
+				fn.Name(), fn.Name())
+		}
+	}
+}
+
+// hasPathSuffix reports whether the import path ends in one of suffixes.
+func hasPathSuffix(path string, suffixes ...string) bool {
+	for _, s := range suffixes {
+		if strings.HasSuffix(path, s) {
+			return true
+		}
+	}
+	return false
 }

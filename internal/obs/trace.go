@@ -95,7 +95,7 @@ func (t *Tracer) Span(pid, tid int, cat, name string, start, end simtime.Time, a
 	if dur < 0 {
 		dur = 0
 	}
-	t.add(traceEvent{name: name, cat: cat, ph: 'X', pid: pid, tid: tid, ts: start, dur: dur, args: args})
+	t.add(traceEvent{name: name, cat: cat, ph: 'X', pid: pid, tid: tid, ts: start, dur: dur, args: ownArgs(args)})
 }
 
 // Instant records a point ('i') event at sim time at.
@@ -103,7 +103,7 @@ func (t *Tracer) Instant(pid, tid int, cat, name string, at simtime.Time, args .
 	if t == nil {
 		return
 	}
-	t.add(traceEvent{name: name, cat: cat, ph: 'i', pid: pid, tid: tid, ts: at, args: args})
+	t.add(traceEvent{name: name, cat: cat, ph: 'i', pid: pid, tid: tid, ts: at, args: ownArgs(args)})
 }
 
 // Counter records a counter ('C') sample at sim time at; each arg becomes
@@ -112,7 +112,17 @@ func (t *Tracer) Counter(pid int, name string, at simtime.Time, args ...Arg) {
 	if t == nil {
 		return
 	}
-	t.add(traceEvent{name: name, ph: 'C', pid: pid, ts: at, args: args})
+	t.add(traceEvent{name: name, ph: 'C', pid: pid, ts: at, args: ownArgs(args)})
+}
+
+// ownArgs copies a variadic args slice into the recorded event, so the
+// caller's slice never escapes: calls on a nil (disabled) tracer then
+// allocate nothing.
+func ownArgs(args []Arg) []Arg {
+	if len(args) == 0 {
+		return nil
+	}
+	return append([]Arg(nil), args...)
 }
 
 func (t *Tracer) add(e traceEvent) {

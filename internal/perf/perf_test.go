@@ -205,6 +205,25 @@ func TestRunSweepCurveSmall(t *testing.T) {
 	}
 }
 
+// Without a stage registry the sweep runs uninstrumented, yet the rows
+// still carry per-case percentiles from the sweep's own histogram.
+func TestRunSweepCurveWithoutStages(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulations are slow")
+	}
+	cfg := fastConfig()
+	rows, err := RunSweepCurve(cfg, scenario.DefaultRunOptions(cfg), SweepCurveConfig{
+		Workers: []int{1},
+		Seeds:   2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rows[0]; r.P50CaseMs <= 0 || r.P99CaseMs < r.P50CaseMs {
+		t.Fatalf("implausible percentiles without stages: %+v", r)
+	}
+}
+
 func TestRunSweepCurveCanaryBurnsAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real simulations are slow")
@@ -215,7 +234,6 @@ func TestRunSweepCurveCanaryBurnsAllocs(t *testing.T) {
 		rows, err := RunSweepCurve(cfg, scenario.DefaultRunOptions(cfg), SweepCurveConfig{
 			Workers:            []int{1},
 			Seeds:              2,
-			Registry:           obs.NewRegistry(),
 			ExtraAllocsPerCase: extra,
 		})
 		if err != nil {

@@ -13,7 +13,7 @@ import (
 )
 
 // CaseHistogram names the per-case wall-latency histogram RunSweepCurve
-// records into the stage registry.
+// records (in a registry of its own, so it never needs stage timers).
 const CaseHistogram = "perf_case_ns"
 
 // SweepCurveConfig parameterizes the worker-scaling workload.
@@ -26,8 +26,9 @@ type SweepCurveConfig struct {
 	// Repeat re-runs the whole job set per pool size and aggregates
 	// (default 1).
 	Repeat int
-	// Registry, when set, receives the per-case latency histogram and the
-	// hot-path stage histograms (one shared registry across pool sizes).
+	// Registry, when set, installs the hot-path stage timers and receives
+	// their histograms (one shared registry across pool sizes). Nil runs
+	// the uninstrumented path that the rows are meant to measure.
 	Registry *obs.Registry
 	// Progress, when set, receives one line per finished pool size.
 	Progress io.Writer
@@ -91,11 +92,10 @@ func RunSweepCurve(cfg scenario.Config, opts scenario.RunOptions, cc SweepCurveC
 		repeat = 1
 	}
 	now := NanoNow()
-	var stages *obs.Stages
 	if cc.Registry != nil {
-		stages = obs.NewStages(cc.Registry, now)
+		opts.Stages = obs.NewStages(cc.Registry, now)
 	}
-	opts.Stages = stages
+	caseReg := obs.NewRegistry()
 
 	baseExec := sweep.Cases(cfg, opts)
 	jobs := make([]sweep.Job, seeds)
@@ -113,7 +113,7 @@ func RunSweepCurve(cfg scenario.Config, opts scenario.RunOptions, cc SweepCurveC
 		// One histogram per pool size, so each row's percentiles cover
 		// only its own runs.
 		histName := fmt.Sprintf("%s_w%d", CaseHistogram, workers)
-		caseHist := cc.Registry.Histogram(histName, "wall time of one simulated case (ns)", obs.WallBuckets())
+		caseHist := caseReg.Histogram(histName, "wall time of one simulated case (ns)", obs.WallBuckets())
 		caseTimer := obs.NewTimer(caseHist, now)
 		exec := func(job sweep.Job) (sweep.Result, error) {
 			t0 := caseTimer.Begin()
@@ -164,7 +164,7 @@ func RunSweepCurve(cfg scenario.Config, opts scenario.RunOptions, cc SweepCurveC
 			BytesPerCase:       int64(after.TotalAlloc-before.TotalAlloc) / int64(cases),
 			EnvironmentLimited: Limited(workers, procs, runtime.NumCPU()),
 		}
-		if s, ok := findSample(cc.Registry, histName); ok && s.Count > 0 {
+		if s, ok := findSample(caseReg, histName); ok && s.Count > 0 {
 			row.P50CaseMs = s.Quantile(0.50) / 1e6
 			row.P95CaseMs = s.Quantile(0.95) / 1e6
 			row.P99CaseMs = s.Quantile(0.99) / 1e6

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"time"
 
+	"vedrfolnir/internal/eventq"
 	"vedrfolnir/internal/fabric"
 	"vedrfolnir/internal/sim"
 	"vedrfolnir/internal/simtime"
@@ -225,10 +226,7 @@ func (h *Host) pump(st *sendState) {
 		if now < st.nextSendAt {
 			if !st.timerSet {
 				st.timerSet = true
-				h.K.At(st.nextSendAt, func() {
-					st.timerSet = false
-					h.pump(st)
-				})
+				h.K.AtEvent(st.nextSendAt, eventq.Event{To: h, Kind: evPace, Ref: st})
 			}
 			return
 		}
@@ -236,7 +234,8 @@ func (h *Host) pump(st *sendState) {
 		if st.nextSeq == st.totalCells-1 {
 			size = st.lastCell
 		}
-		pkt := &fabric.Packet{
+		pkt := h.Net.NewPacket()
+		*pkt = fabric.Packet{
 			Kind:   fabric.KindData,
 			Flow:   st.flow,
 			To:     st.flow.Dst,
@@ -263,15 +262,38 @@ func maxTime(a, b simtime.Time) simtime.Time {
 	return b
 }
 
-// Receive implements fabric.Device.
+// Host event kinds (eventq.Event.Kind when To is the Host); Ref is the
+// flow's *sendState.
+const (
+	evPace    uint8 = iota // pacing slot opened: resume pump
+	evRecover              // DCQCN rate-increase timer fired
+)
+
+// HandleEvent implements eventq.Owner: it runs one of the host's timers.
+func (h *Host) HandleEvent(ev eventq.Event) {
+	st := ev.Ref.(*sendState)
+	switch ev.Kind {
+	case evPace:
+		st.timerSet = false
+		h.pump(st)
+	case evRecover:
+		h.recover(st)
+	}
+}
+
+// Receive implements fabric.Device. Data, ACK and CNP packets end here and
+// go back to the network's packet pool.
 func (h *Host) Receive(pkt *fabric.Packet, port int) {
 	switch pkt.Kind {
 	case fabric.KindData:
 		h.onData(pkt)
+		h.Net.Release(pkt)
 	case fabric.KindAck:
 		h.onAck(pkt)
+		h.Net.Release(pkt)
 	case fabric.KindCNP:
 		h.onCNP(pkt)
+		h.Net.Release(pkt)
 	case fabric.KindNotify:
 		if h.OnNotify != nil {
 			h.OnNotify(pkt)
@@ -294,7 +316,8 @@ func (h *Host) onData(pkt *fabric.Packet) {
 	rs.bytes += int64(pkt.Size)
 
 	// Echo an ACK carrying the sender's timestamp (RTT source).
-	ack := &fabric.Packet{
+	ack := h.Net.NewPacket()
+	*ack = fabric.Packet{
 		Kind:   fabric.KindAck,
 		Flow:   pkt.Flow,
 		To:     pkt.Flow.Src,
@@ -310,7 +333,8 @@ func (h *Host) onData(pkt *fabric.Packet) {
 		now := h.K.Now()
 		if now.Sub(rs.lastCNP) >= h.Cfg.CNPInterval {
 			rs.lastCNP = now
-			cnp := &fabric.Packet{
+			cnp := h.Net.NewPacket()
+			*cnp = fabric.Packet{
 				Kind: fabric.KindCNP,
 				Flow: pkt.Flow,
 				To:   pkt.Flow.Src,
@@ -409,30 +433,34 @@ func (h *Host) onCNP(pkt *fabric.Packet) {
 }
 
 func (h *Host) armRecovery(st *sendState) {
-	h.K.After(h.Cfg.RateIncTimer, func() {
-		if st.done {
-			return
+	h.K.AfterEvent(h.Cfg.RateIncTimer, eventq.Event{To: h, Kind: evRecover, Ref: st})
+}
+
+// recover runs one DCQCN rate-increase round and re-arms the timer until
+// the flow is back at line rate.
+func (h *Host) recover(st *sendState) {
+	if st.done {
+		return
+	}
+	st.alpha *= 1 - h.Cfg.Gain
+	if st.recoverCnt < h.Cfg.FastRecoverN {
+		// Hyper recovery toward the pre-cut rate.
+		st.rate = (st.rate + st.targetRate) / 2
+		st.recoverCnt++
+	} else {
+		// Additive probing beyond it.
+		st.targetRate += simtime.Rate(float64(h.lineRate) * h.Cfg.AddIncFrac)
+		if st.targetRate > h.lineRate {
+			st.targetRate = h.lineRate
 		}
-		st.alpha *= 1 - h.Cfg.Gain
-		if st.recoverCnt < h.Cfg.FastRecoverN {
-			// Hyper recovery toward the pre-cut rate.
-			st.rate = (st.rate + st.targetRate) / 2
-			st.recoverCnt++
-		} else {
-			// Additive probing beyond it.
-			st.targetRate += simtime.Rate(float64(h.lineRate) * h.Cfg.AddIncFrac)
-			if st.targetRate > h.lineRate {
-				st.targetRate = h.lineRate
-			}
-			st.rate = (st.rate + st.targetRate) / 2
-		}
-		if st.rate > h.lineRate {
-			st.rate = h.lineRate
-		}
-		if st.rate < st.targetRate || st.rate < h.lineRate {
-			h.armRecovery(st)
-		}
-	})
+		st.rate = (st.rate + st.targetRate) / 2
+	}
+	if st.rate > h.lineRate {
+		st.rate = h.lineRate
+	}
+	if st.rate < st.targetRate || st.rate < h.lineRate {
+		h.armRecovery(st)
+	}
 }
 
 // CurrentRate reports the pacing rate of an active flow (line rate if the

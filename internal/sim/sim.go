@@ -65,27 +65,41 @@ func (k *Kernel) QueueStats() eventq.Stats { return k.q.Stats() }
 
 // At schedules fn to run at absolute time at. Scheduling in the past is a
 // programming error and panics, since it would silently reorder causality.
-func (k *Kernel) At(at simtime.Time, fn func()) *eventq.Event {
+// A closure allocates per call, so per-packet paths schedule typed events
+// with AtEvent instead; At is for cold-path callers.
+func (k *Kernel) At(at simtime.Time, fn func()) eventq.Handle {
+	return k.AtEvent(at, eventq.Func(fn))
+}
+
+// After schedules fn to run d after the current time.
+func (k *Kernel) After(d simtime.Duration, fn func()) eventq.Handle {
+	return k.AfterEvent(d, eventq.Func(fn))
+}
+
+// AtEvent schedules the typed event ev at absolute time at; Run hands it
+// to ev.To. Like At, scheduling in the past panics.
+func (k *Kernel) AtEvent(at simtime.Time, ev eventq.Event) eventq.Handle {
 	if at < k.now {
 		//lint:ignore nopanic causality invariant: a past-dated event would silently reorder the run; documented API contract
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, k.now))
 	}
 	t0 := k.tPush.Begin()
-	e := k.q.Push(at, fn)
+	h := k.q.Push(at, ev)
 	k.tPush.End(t0)
-	return e
+	return h
 }
 
-// After schedules fn to run d after the current time.
-func (k *Kernel) After(d simtime.Duration, fn func()) *eventq.Event {
+// AfterEvent schedules the typed event ev d after the current time.
+func (k *Kernel) AfterEvent(d simtime.Duration, ev eventq.Event) eventq.Handle {
 	if d < 0 {
 		d = 0
 	}
-	return k.At(k.now.Add(d), fn)
+	return k.AtEvent(k.now.Add(d), ev)
 }
 
-// Cancel removes a pending event.
-func (k *Kernel) Cancel(e *eventq.Event) { k.q.Cancel(e) }
+// Cancel removes a pending event; a fired or already-canceled handle is a
+// no-op.
+func (k *Kernel) Cancel(h eventq.Handle) { k.q.Cancel(h) }
 
 // Stop makes Run return after the current event completes.
 func (k *Kernel) Stop() { k.stopped = true }
@@ -97,21 +111,19 @@ func (k *Kernel) Run(until simtime.Time) simtime.Time {
 	k.stopped = false
 	for !k.stopped {
 		t0 := k.tPop.Begin()
-		e := k.q.Peek()
-		if e == nil || e.At > until {
-			k.tPop.End(t0)
+		at, ev, ok := k.q.PopUntil(until)
+		k.tPop.End(t0)
+		if !ok {
 			break
 		}
-		k.q.Pop()
-		k.tPop.End(t0)
-		k.now = e.At
+		k.now = at
 		k.events++
 		if k.limit > 0 && k.events > k.limit {
 			//lint:ignore nopanic event-storm guard documented on SetEventLimit; aborting the run is its contract
 			panic(fmt.Sprintf("sim: event limit %d exceeded at %v", k.limit, k.now))
 		}
-		if e.Fn != nil {
-			e.Fn()
+		if ev.To != nil {
+			ev.To.HandleEvent(ev)
 		}
 	}
 	if until != simtime.Never && k.now < until && k.q.Len() == 0 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"vedrfolnir/internal/eventq"
 	"vedrfolnir/internal/simtime"
 )
 
@@ -138,5 +139,33 @@ func TestCancelEvent(t *testing.T) {
 	k.Run(simtime.Never)
 	if fired {
 		t.Fatalf("canceled event fired")
+	}
+}
+
+// ticker is a typed-event owner that re-arms itself until n events ran.
+type ticker struct {
+	k *Kernel
+	n int
+}
+
+func (t *ticker) HandleEvent(ev eventq.Event) {
+	t.n++
+	t.k.AfterEvent(time.Nanosecond, eventq.Event{To: t, Kind: ev.Kind, Ref: t})
+}
+
+// A warm kernel schedules and runs typed events without allocating.
+func TestTypedEventAllocFree(t *testing.T) {
+	k := New(1)
+	tk := &ticker{k: k}
+	k.AfterEvent(0, eventq.Event{To: tk, Ref: tk})
+	k.Run(k.Now().Add(100)) // warm the queue's slab and free list
+	allocs := testing.AllocsPerRun(1000, func() {
+		k.Run(k.Now().Add(1))
+	})
+	if allocs != 0 {
+		t.Fatalf("allocs per kernel push+pop = %v, want 0", allocs)
+	}
+	if tk.n < 1000 {
+		t.Fatalf("ticker ran %d times, want >= 1000", tk.n)
 	}
 }
